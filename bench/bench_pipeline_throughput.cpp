@@ -24,7 +24,6 @@
 #include "bench/campus_common.hpp"
 #include "core/handshake.hpp"
 #include "ml/compiled_forest.hpp"
-#include "ml/quantized_forest.hpp"
 #include "obs/timer.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/sharded_pipeline.hpp"
@@ -290,24 +289,22 @@ ClassifyResult run_classify_kernel() {
   return out;
 }
 
-// ---- cross-flow batch + quantized classify microbench (DESIGN.md §5g) --
+// ---- cross-flow batch classify microbench (DESIGN.md §5g) ---------------
 
 struct BatchClassifyResult {
   struct Point {
     std::size_t batch = 0;
     double float_us = 0;      // predict_with_confidence_batch, per flow
-    double quantized_us = 0;  // QuantizedForest::predict_batch, per flow
-    double speedup = 0;       // per-flow compiled / float batched
+    double speedup = 0;       // rows = 1 / batched, same kernel
   };
   std::vector<Point> points;   // batch sizes 8 / 32 / 128
-  double compiled_us = 0;      // per-flow compiled baseline (same kernel)
-  double quantized_single_us = 0;
+  double compiled_us = 0;      // bitmask scorer at rows = 1 (per flow)
   double batch32_speedup = 0;  // the acceptance-criterion number
 };
 
-/// Times the batched classification kernels against the per-flow compiled
-/// baseline over the same feature rows: the cross-flow SIMD descent at
-/// batch sizes 8/32/128 and the int16 threshold-rank forest, both per flow.
+/// Times the bitmask scorer at batch sizes 8/32/128 against the same
+/// scorer called with rows = 1 (the per-flow classify path) over the same
+/// feature rows, both per flow.
 BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
   const auto* scenario =
       bench::campus_bank().scenario(Provider::YouTube, Transport::Tcp);
@@ -333,9 +330,6 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
     std::copy(x.begin(), x.end(), matrix.begin() + static_cast<long>(i * dim));
   }
 
-  const ml::QuantizedForest quantized =
-      ml::QuantizedForest::quantize(scenario->platform_model);
-
   constexpr int kRounds = 500;
   constexpr int kReps = 7;
   // us per FLOW (not per call): one timed pass covers all kRows rows in
@@ -349,8 +343,6 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
   };
 
   ml::CompiledForest::Scratch scratch;
-  ml::CompiledForest::BatchScratch batch_scratch;
-  ml::QuantizedForest::Scratch qscratch;
   std::vector<int> labels(kRows);
   std::vector<double> confidences(kRows);
   const std::size_t batches[] = {8, 32, 128};
@@ -360,12 +352,9 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
   // randomize every speedup ratio. compiled_us (the run_classify_kernel
   // number) is still reported for continuity with earlier runs.
   double base_us = std::numeric_limits<double>::infinity();
-  double float_us[3], quantized_us[3];
+  double float_us[3];
   std::fill(std::begin(float_us), std::end(float_us),
             std::numeric_limits<double>::infinity());
-  std::fill(std::begin(quantized_us), std::end(quantized_us),
-            std::numeric_limits<double>::infinity());
-  double quantized_single_us = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kReps; ++rep) {
     base_us = std::min(base_us, time_us_per_flow([&] {
       for (std::size_t r = 0; r < kRows; ++r)
@@ -382,25 +371,11 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
           scenario->platform_compiled.predict_with_confidence_batch(
               std::span<const double>(matrix).subspan(at * dim, n * dim), dim,
               std::span<int>(labels).subspan(at, n),
-              std::span<double>(confidences).subspan(at, n), batch_scratch);
-        }
-        benchmark::DoNotOptimize(labels.data());
-      }));
-      quantized_us[bi] = std::min(quantized_us[bi], time_us_per_flow([&] {
-        for (std::size_t at = 0; at < kRows; at += batch) {
-          const std::size_t n = std::min(batch, kRows - at);
-          quantized.predict_batch(
-              std::span<const double>(matrix).subspan(at * dim, n * dim), dim,
-              std::span<int>(labels).subspan(at, n), qscratch);
+              std::span<double>(confidences).subspan(at, n), scratch);
         }
         benchmark::DoNotOptimize(labels.data());
       }));
     }
-    quantized_single_us = std::min(quantized_single_us, time_us_per_flow([&] {
-      for (std::size_t r = 0; r < kRows; ++r)
-        benchmark::DoNotOptimize(quantized.predict(
-            std::span<const double>(matrix).subspan(r * dim, dim), qscratch));
-    }));
   }
 
   out.compiled_us = base_us;
@@ -408,12 +383,10 @@ BatchClassifyResult run_batch_classify_kernel(double compiled_us) {
     BatchClassifyResult::Point point;
     point.batch = batches[bi];
     point.float_us = float_us[bi];
-    point.quantized_us = quantized_us[bi];
     point.speedup = base_us / point.float_us;
     if (point.batch == 32) out.batch32_speedup = point.speedup;
     out.points.push_back(point);
   }
-  out.quantized_single_us = quantized_single_us;
   return out;
 }
 
@@ -585,9 +558,8 @@ void write_json(const SingleThreadResult& single, const ClassifyResult& cls,
        << cls.speedup_vs_uncompiled << "\n"
        << "  },\n"
        << "  \"batch_classification\": {\n"
+       << "    \"per_flow_kernel\": \"bitmask scorer, rows = 1\",\n"
        << "    \"compiled_us_per_flow\": " << batch.compiled_us << ",\n"
-       << "    \"quantized_us_per_flow\": " << batch.quantized_single_us
-       << ",\n"
        << "    \"batch32_speedup_vs_per_flow\": " << batch.batch32_speedup
        << ",\n"
        << "    \"batch_sizes\": [\n";
@@ -595,7 +567,6 @@ void write_json(const SingleThreadResult& single, const ClassifyResult& cls,
     const auto& p = batch.points[i];
     json << "      {\"batch\": " << p.batch
          << ", \"float_us_per_flow\": " << p.float_us
-         << ", \"quantized_us_per_flow\": " << p.quantized_us
          << ", \"speedup_vs_per_flow\": " << p.speedup << "}"
          << (i + 1 < batch.points.size() ? "," : "") << "\n";
   }
@@ -682,15 +653,13 @@ void report() {
   classify_table.print(std::cout);
 
   const auto batch = run_batch_classify_kernel(cls.compiled_us);
-  TextTable batch_table({"Batched kernel (vs compiled per-flow)", "float us",
-                         "int16 us", "speedup"});
-  batch_table.add_row({"per-flow (batch 1)",
-                       TextTable::num(batch.compiled_us, 2),
-                       TextTable::num(batch.quantized_single_us, 2), "1.00x"});
+  TextTable batch_table(
+      {"Bitmask scorer (vs rows = 1)", "us/flow", "speedup"});
+  batch_table.add_row({"per-flow (rows = 1)",
+                       TextTable::num(batch.compiled_us, 2), "1.00x"});
   for (const auto& p : batch.points)
     batch_table.add_row({"batch " + std::to_string(p.batch),
                          TextTable::num(p.float_us, 2),
-                         TextTable::num(p.quantized_us, 2),
                          TextTable::num(p.speedup, 2) + "x"});
   batch_table.print(std::cout);
 

@@ -40,6 +40,12 @@ std::optional<RandomForest> read_forest_body(Reader& r) {
   for (std::uint32_t i = 0; i < tree_count; ++i) {
     auto tree = DecisionTree::deserialize(r);
     if (!tree) return std::nullopt;
+    // Every leaf carries exactly one probability per class: predict_proba
+    // reads num_classes entries from whichever leaf a row reaches.
+    for (const auto& node : tree->nodes())
+      if (node.feature < 0 &&
+          node.proba.size() != static_cast<std::size_t>(forest.num_classes_))
+        return std::nullopt;
     forest.trees_.push_back(std::move(*tree));
   }
   if (!r.ok()) return std::nullopt;
@@ -260,18 +266,6 @@ std::optional<CompiledForest> load_compiled_forest(const std::string& path) {
   const auto forest = load_forest(path);
   if (!forest) return std::nullopt;
   return CompiledForest::compile(*forest);
-}
-
-std::optional<QuantizedForest> deserialize_quantized_forest(ByteView data) {
-  const auto forest = deserialize_forest(data);
-  if (!forest) return std::nullopt;
-  return QuantizedForest::quantize(*forest);
-}
-
-std::optional<QuantizedForest> load_quantized_forest(const std::string& path) {
-  const auto forest = load_forest(path);
-  if (!forest) return std::nullopt;
-  return QuantizedForest::quantize(*forest);
 }
 
 }  // namespace vpscope::ml

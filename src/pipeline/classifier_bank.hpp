@@ -161,7 +161,7 @@ class ClassifierBank {
     // Reused scratch: encoder raw attributes, forest batch staging, the
     // per-bucket label/confidence rows and the low-confidence sub-batch.
     core::RawAttrs raw_;
-    ml::CompiledForest::BatchScratch forest_;
+    ml::CompiledForest::Scratch forest_;
     std::vector<int> labels_;
     std::vector<double> confidences_;
     std::vector<double> sub_matrix_;

@@ -1,29 +1,26 @@
 // Batched data plane equivalence (ctest -L batch; DESIGN.md §5g).
 //
 // Batching is a pure performance transform, so every test here is an
-// equality, not a tolerance: cross-flow SIMD forest descents must be
-// bit-identical to the per-flow compiled path at every lane count and SIMD
-// level; the int16 threshold-rank forest must be argmax-identical on the
-// full synthetic corpus AND on >= 50k structure-aware wire mutants; and the
-// batched sharded pipeline must reproduce the single-threaded pipeline's
-// records and stats exactly, including partial batches at flush and the
-// drop-accounting identity mid-flight.
+// equality, not a tolerance: the compiled forest's batch scoring must be
+// bit-identical to RandomForest (the reference) at every row count and SIMD
+// level, on the bitmask scorer and on the deep-tree scalar fallback alike;
+// and the batched sharded pipeline must reproduce the single-threaded
+// pipeline's records and stats exactly, including partial batches at flush
+// and the drop-accounting identity mid-flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/handshake.hpp"
-#include "fuzz/driver.hpp"
-#include "ml/quantized_forest.hpp"
 #include "pipeline/sharded_pipeline.hpp"
 #include "synth/dataset.hpp"
-#include "tls/client_hello.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace vpscope {
@@ -32,12 +29,11 @@ namespace {
 using fingerprint::Provider;
 using fingerprint::Transport;
 using ml::CompiledForest;
-using ml::QuantizedForest;
 
 /// Lab dataset + trained bank shared by the whole lane (training is the
-/// expensive part; the tests are pure CPU over the artifacts). Torture-size
-/// forests keep the 50k-mutant pass fast without weakening any identity —
-/// every equality below holds for any forest by construction.
+/// expensive part; the tests are pure CPU over the artifacts). Small forests
+/// keep the lane fast without weakening any identity — every equality below
+/// holds for any forest by construction.
 class BatchEquivalenceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -94,6 +90,21 @@ std::vector<CompiledForest::Simd> supported_levels() {
   return levels;
 }
 
+/// RandomForest::predict_proba (the reference) for every row of a
+/// row-major matrix, concatenated.
+std::vector<double> reference_proba(const ml::RandomForest& forest,
+                                    const std::vector<double>& matrix,
+                                    std::size_t dim) {
+  std::vector<double> out;
+  for (std::size_t at = 0; at < matrix.size(); at += dim) {
+    const std::vector<double> row(matrix.begin() + static_cast<long>(at),
+                                  matrix.begin() + static_cast<long>(at + dim));
+    const auto proba = forest.predict_proba(row);
+    out.insert(out.end(), proba.begin(), proba.end());
+  }
+  return out;
+}
+
 TEST_F(BatchEquivalenceTest, PredictProbaBatchBitIdenticalForSizes1To257) {
   const auto* s = bank_->scenario(Provider::YouTube, Transport::Tcp);
   ASSERT_NE(s, nullptr);
@@ -105,8 +116,8 @@ TEST_F(BatchEquivalenceTest, PredictProbaBatchBitIdenticalForSizes1To257) {
   const auto n_classes = static_cast<std::size_t>(
       s->platform_compiled.num_classes());
 
-  // Group-remainder boundaries (the descent runs 8 lanes at a time) plus
-  // the extremes the issue pins: 1 and 257.
+  // Vector-width remainders (the SIMD kernels score 2 or 4 rows at a time)
+  // and powers of two, plus the extremes 1 and 257.
   const std::size_t sizes[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32,
                                33, 63, 64, 65, 127, 128, 129, 255, 256, 257};
   for (const std::size_t rows : sizes) {
@@ -117,11 +128,8 @@ TEST_F(BatchEquivalenceTest, PredictProbaBatchBitIdenticalForSizes1To257) {
       std::memcpy(&matrix[r * dim], &pool[(r % pool_rows) * dim],
                   dim * sizeof(double));
 
-    std::vector<double> expected(rows * n_classes);
-    for (std::size_t r = 0; r < rows; ++r)
-      s->platform_compiled.predict_proba_into(
-          std::span<const double>(matrix).subspan(r * dim, dim),
-          std::span<double>(expected).subspan(r * n_classes, n_classes));
+    const std::vector<double> expected =
+        reference_proba(s->platform_model, matrix, dim);
 
     for (const auto level : supported_levels()) {
       std::vector<double> got(rows * n_classes, -1.0);
@@ -134,15 +142,15 @@ TEST_F(BatchEquivalenceTest, PredictProbaBatchBitIdenticalForSizes1To257) {
     }
   }
   // The bank's forests must take the bitmask-scorer path (trees <= 64
-  // leaves) — if this ever flips, the deep-forest test below is the only
-  // one still covering the scorer.
+  // leaves) — if this ever flips, this test covers only the scalar
+  // fallback.
   EXPECT_TRUE(s->platform_compiled.uses_bitmask_scorer());
 }
 
 // A forest trained on random labels grows inseparable, deep trees (far more
-// than 64 leaves each), which the bitmask scorer cannot represent — the
-// batch path must fall back to the traversal kernels and stay bit-identical
-// to the per-flow descent at every SIMD level.
+// than 64 leaves each), which the bitmask scorer cannot represent — scoring
+// must fall back to the scalar traversal and stay bit-identical to
+// RandomForest per flow and in batches, at every SIMD level.
 TEST_F(BatchEquivalenceTest, DeepForestFallbackBitIdenticalAcrossLevels) {
   constexpr std::size_t kSamples = 600;
   constexpr std::size_t kDim = 16;
@@ -165,18 +173,29 @@ TEST_F(BatchEquivalenceTest, DeepForestFallbackBitIdenticalAcrossLevels) {
   const CompiledForest compiled = CompiledForest::compile(forest);
   ASSERT_FALSE(compiled.uses_bitmask_scorer());
 
-  const std::size_t rows = 67;  // off the 8-lane group boundary on purpose
+  const std::size_t rows = 67;  // off every vector-width boundary
   const auto n_classes = static_cast<std::size_t>(compiled.num_classes());
   std::vector<double> matrix(rows * kDim);
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t f = 0; f < kDim; ++f)
       matrix[r * kDim + f] = rng.uniform01();
+  // Non-finite features take the same branch as in DecisionTree (NaN goes
+  // right).
+  matrix[0] = std::numeric_limits<double>::quiet_NaN();
+  matrix[kDim + 1] = std::numeric_limits<double>::infinity();
+  matrix[2 * kDim + 2] = -std::numeric_limits<double>::infinity();
+  matrix[3 * kDim + 3] = -0.0;
 
-  std::vector<double> expected(rows * n_classes);
-  for (std::size_t r = 0; r < rows; ++r)
+  const std::vector<double> expected = reference_proba(forest, matrix, kDim);
+  std::vector<double> per_flow(n_classes);
+  for (std::size_t r = 0; r < rows; ++r) {
     compiled.predict_proba_into(
-        std::span<const double>(matrix).subspan(r * kDim, kDim),
-        std::span<double>(expected).subspan(r * n_classes, n_classes));
+        std::span<const double>(matrix).subspan(r * kDim, kDim), per_flow);
+    EXPECT_EQ(std::memcmp(per_flow.data(), &expected[r * n_classes],
+                          n_classes * sizeof(double)),
+              0)
+        << "row=" << r;
+  }
   for (const auto level : supported_levels()) {
     std::vector<double> got(rows * n_classes, -1.0);
     compiled.predict_proba_batch(matrix, kDim, got, level);
@@ -197,134 +216,38 @@ TEST_F(BatchEquivalenceTest, PredictWithConfidenceBatchMatchesPerRow) {
   ASSERT_GT(rows, 0u);
 
   CompiledForest::Scratch scratch;
-  CompiledForest::BatchScratch batch_scratch;
-  for (const CompiledForest* forest :
-       {&s->platform_compiled, &s->device_compiled, &s->agent_compiled}) {
+  const struct {
+    const CompiledForest* compiled;
+    const ml::RandomForest* model;
+  } objectives[] = {{&s->platform_compiled, &s->platform_model},
+                    {&s->device_compiled, &s->device_model},
+                    {&s->agent_compiled, &s->agent_model}};
+  for (const auto& objective : objectives) {
     std::vector<int> expected_labels(rows);
     std::vector<double> expected_conf(rows);
     for (std::size_t r = 0; r < rows; ++r) {
-      const auto [label, conf] = forest->predict_with_confidence(
-          std::span<const double>(matrix).subspan(r * dim, dim), scratch);
+      const std::vector<double> row(
+          matrix.begin() + static_cast<long>(r * dim),
+          matrix.begin() + static_cast<long>((r + 1) * dim));
+      const auto [label, conf] = objective.model->predict_with_confidence(row);
       expected_labels[r] = label;
       expected_conf[r] = conf;
+      // The per-flow path is the same kernel at rows = 1.
+      ASSERT_EQ(objective.compiled->predict_with_confidence(row, scratch),
+                std::make_pair(label, conf))
+          << "row=" << r;
     }
     for (const auto level : supported_levels()) {
       std::vector<int> labels(rows, -1);
       std::vector<double> conf(rows, -1.0);
-      forest->predict_with_confidence_batch(matrix, dim, labels, conf,
-                                            batch_scratch, level);
+      objective.compiled->predict_with_confidence_batch(
+          matrix, dim, labels, conf, scratch, level);
       EXPECT_EQ(labels, expected_labels);
       EXPECT_EQ(std::memcmp(conf.data(), expected_conf.data(),
                             rows * sizeof(double)),
                 0);
     }
   }
-}
-
-TEST_F(BatchEquivalenceTest, QuantizedArgmaxIdenticalOnFullCorpus) {
-  CompiledForest::Scratch scratch;
-  QuantizedForest::Scratch qscratch;
-  std::size_t compared = 0;
-  core::RawAttrs raw;
-  std::vector<double> features;
-  for (const auto& flow : lab_->flows) {
-    const auto* s = bank_->scenario(flow.provider, flow.transport);
-    if (!s) continue;
-    const auto handshake = core::extract_handshake(flow.packets);
-    ASSERT_TRUE(handshake.has_value());
-    features.resize(s->encoder.dimension());
-    s->encoder.transform_into(*handshake, raw, features);
-
-    const struct {
-      const CompiledForest* compiled;
-      const ml::RandomForest* model;
-    } objectives[] = {{&s->platform_compiled, &s->platform_model},
-                      {&s->device_compiled, &s->device_model},
-                      {&s->agent_compiled, &s->agent_model}};
-    for (const auto& objective : objectives) {
-      const QuantizedForest quantized =
-          QuantizedForest::quantize(*objective.model);
-      const auto [label, conf] =
-          objective.compiled->predict_with_confidence(features, scratch);
-      const auto [qlabel, qconf] =
-          quantized.predict_with_confidence(features, qscratch);
-      ASSERT_EQ(qlabel, label);
-      ASSERT_EQ(qconf, conf);  // exact double reconstruction, not approx
-      ASSERT_EQ(quantized.predict(features, qscratch), label);
-      ++compared;
-    }
-  }
-  EXPECT_GT(compared, 100u);
-}
-
-TEST_F(BatchEquivalenceTest, QuantizedArgmaxIdenticalOn50kWireMutants) {
-  // The PR-3 structure-aware mutation machinery, re-aimed: every mutant
-  // ClientHello that still parses is encoded through the real scenario
-  // encoder and must produce the same argmax from the int16 forest as from
-  // the float one — the adversarial counterpart of the corpus test above.
-  const auto corpus = fuzz::build_corpus(0xbeef);
-  ASSERT_FALSE(corpus.empty());
-
-  struct QuantizedScenario {
-    const pipeline::ClassifierBank::Scenario* scenario;
-    QuantizedForest platform, device, agent;
-  };
-  std::vector<QuantizedScenario> cache;
-  const auto quantized_for =
-      [&](Provider provider,
-          Transport transport) -> const QuantizedScenario* {
-    const auto* s = bank_->scenario(provider, transport);
-    if (!s) return nullptr;
-    for (const auto& entry : cache)
-      if (entry.scenario == s) return &entry;
-    cache.push_back({s, QuantizedForest::quantize(s->platform_model),
-                     QuantizedForest::quantize(s->device_model),
-                     QuantizedForest::quantize(s->agent_model)});
-    return &cache.back();
-  };
-
-  fuzz::Mutator mutator(0xf022);
-  CompiledForest::Scratch scratch;
-  QuantizedForest::Scratch qscratch;
-  core::RawAttrs raw;
-  std::vector<double> features;
-  constexpr std::size_t kMutants = 50'000;
-  std::size_t compared = 0;
-  for (std::size_t i = 0; i < kMutants; ++i) {
-    const fuzz::SeedCase& seed = corpus[i % corpus.size()];
-    const Bytes mutant = mutator.mutate_record(seed);
-    const auto chlo = tls::ClientHello::parse_record(mutant);
-    if (!chlo) continue;  // rejected upstream of the bank; nothing to check
-
-    core::FlowHandshake hs;
-    hs.transport = seed.transport;
-    hs.chlo = *chlo;
-    if (const auto tp_body = hs.chlo.quic_transport_parameters())
-      hs.quic_tp = quic::TransportParameters::parse(*tp_body);
-    if (hs.transport == Transport::Quic && !hs.quic_tp)
-      hs.transport = Transport::Tcp;
-
-    const QuantizedScenario* q = quantized_for(seed.provider, hs.transport);
-    if (!q) continue;
-    features.resize(q->scenario->encoder.dimension());
-    q->scenario->encoder.transform_into(hs, raw, features);
-
-    const struct {
-      const CompiledForest* compiled;
-      const QuantizedForest* quantized;
-    } objectives[] = {{&q->scenario->platform_compiled, &q->platform},
-                      {&q->scenario->device_compiled, &q->device},
-                      {&q->scenario->agent_compiled, &q->agent}};
-    for (const auto& objective : objectives) {
-      const int expected = objective.compiled->predict(features, scratch);
-      ASSERT_EQ(objective.quantized->predict(features, qscratch), expected)
-          << "mutant " << i << " (" << to_hex(mutant) << ")";
-    }
-    ++compared;
-  }
-  // Structure-aware mutants keep parsing often; the identity must have been
-  // exercised on a large accepted subset, not vacuously.
-  EXPECT_GT(compared, kMutants / 10);
 }
 
 // ---- pipeline-level equivalence ----

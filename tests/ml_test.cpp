@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
+#include <span>
 
 #include "ml/compiled_forest.hpp"
 #include "ml/dataset.hpp"
@@ -252,6 +256,22 @@ struct CompiledFixture {
   }
 };
 
+/// Every Simd level this host can run (Auto pins the dispatcher itself).
+std::vector<CompiledForest::Simd> supported_levels() {
+  std::vector<CompiledForest::Simd> levels = {CompiledForest::Simd::Auto,
+                                              CompiledForest::Simd::Scalar};
+  for (const auto level :
+       {CompiledForest::Simd::Sse2, CompiledForest::Simd::Avx2})
+    if (CompiledForest::simd_supported(level)) levels.push_back(level);
+  return levels;
+}
+
+/// Bit identity, not closeness (== would equate -0.0 and +0.0).
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(CompiledForest, BitIdenticalProbabilitiesOn500RandomInputs) {
   const CompiledFixture f;
   EXPECT_EQ(f.compiled.num_classes(), f.forest.num_classes());
@@ -259,18 +279,93 @@ TEST(CompiledForest, BitIdenticalProbabilitiesOn500RandomInputs) {
   EXPECT_GT(f.compiled.node_count(), 0u);
 
   Rng rng(99);
-  std::vector<double> proba(static_cast<std::size_t>(f.compiled.num_classes()));
+  std::vector<std::vector<double>> inputs;
+  for (int i = 0; i < 500; ++i) inputs.push_back(f.random_input(rng));
+  // Non-finite and signed-zero features: the bitmask scorer substitutes
+  // +inf for NaN (a NaN compares false, so the reference descent always
+  // goes right), and +-inf / -0.0 must order exactly like the `<=` split.
+  // Each special value goes into every dimension alone, into all of them,
+  // and into random mixes; a split threshold itself (and its neighbours)
+  // probes the `<=` boundary.
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0,
+                             0.0};
+  const std::size_t dim = f.train.dim();
+  for (const double v : specials) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      auto x = f.random_input(rng);
+      x[d] = v;
+      inputs.push_back(std::move(x));
+    }
+    inputs.emplace_back(dim, v);
+  }
+  for (int i = 0; i < 100; ++i) {
+    auto x = f.random_input(rng);
+    for (auto& v : x)
+      if (rng.uniform_int(0, 2) == 0) v = specials[rng.uniform_int(0, 4)];
+    inputs.push_back(std::move(x));
+  }
+  for (const auto& node : f.forest.trees().front().nodes()) {
+    if (node.feature < 0) continue;
+    for (const double t : {node.threshold,
+                           std::nextafter(node.threshold, -INFINITY),
+                           std::nextafter(node.threshold, INFINITY)}) {
+      auto x = f.random_input(rng);
+      x[static_cast<std::size_t>(node.feature)] = t;
+      inputs.push_back(std::move(x));
+    }
+  }
+
+  // Per flow: the scorer at rows = 1.
+  const auto n_classes = static_cast<std::size_t>(f.compiled.num_classes());
+  std::vector<double> proba(n_classes);
+  std::vector<double> expected;
   CompiledForest::Scratch scratch;
-  for (int i = 0; i < 500; ++i) {
-    const auto x = f.random_input(rng);
-    const auto expected = f.forest.predict_proba(x);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto& x = inputs[i];
+    const auto reference = f.forest.predict_proba(x);
+    expected.insert(expected.end(), reference.begin(), reference.end());
     f.compiled.predict_proba_into(x, proba);
-    ASSERT_EQ(proba, expected) << "input " << i;  // bit-identical, not near
+    ASSERT_TRUE(same_bits(proba, reference)) << "input " << i;
     const auto [cls, conf] = f.compiled.predict_with_confidence(x, scratch);
     const auto [ref_cls, ref_conf] = f.forest.predict_with_confidence(x);
-    ASSERT_EQ(cls, ref_cls);
-    ASSERT_EQ(conf, ref_conf);
+    ASSERT_EQ(cls, ref_cls) << "input " << i;
+    ASSERT_EQ(conf, ref_conf) << "input " << i;
   }
+
+  // Batched: every input in one matrix, at every level.
+  std::vector<double> matrix;
+  for (const auto& x : inputs) matrix.insert(matrix.end(), x.begin(), x.end());
+  for (const auto level : supported_levels()) {
+    std::vector<double> got(expected.size(), -1.0);
+    f.compiled.predict_proba_batch(matrix, dim, got, level);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      ASSERT_TRUE(same_bits(
+          std::span<const double>(got).subspan(i * n_classes, n_classes),
+          std::span<const double>(expected).subspan(i * n_classes,
+                                                    n_classes)))
+          << "input " << i << " level " << static_cast<int>(level);
+  }
+}
+
+TEST(CompiledForest, ZeroWidthRowScoresOnLeafOnlyForest) {
+  // One class only: every tree is a single leaf that reads no feature, so
+  // an empty row is a valid input to the per-flow path.
+  Dataset data;
+  data.x.assign(10, std::vector<double>{1.0});
+  data.y.assign(10, 0);
+  RandomForest forest;
+  forest.fit(data, {.n_trees = 3, .max_depth = 4, .min_samples_split = 2,
+                    .max_features = 1, .bootstrap = true, .seed = 1});
+  const CompiledForest compiled = CompiledForest::compile(forest);
+  ASSERT_TRUE(compiled.uses_bitmask_scorer());
+  std::vector<double> proba(1, -1.0);
+  compiled.predict_proba_into({}, proba);
+  EXPECT_EQ(proba, forest.predict_proba({}));
+  CompiledForest::Scratch scratch;
+  EXPECT_EQ(compiled.predict_with_confidence({}, scratch),
+            forest.predict_with_confidence({}));
 }
 
 TEST(CompiledForest, SerializeRoundTripStaysEquivalent) {
@@ -390,7 +485,7 @@ TEST(CompiledForest, BatchMatchesForestOnDatasetAndContiguousMatrix) {
   for (const auto& row : test.x)
     matrix.insert(matrix.end(), row.begin(), row.end());
   std::vector<int> out(test.size(), -1);
-  CompiledForest::BatchScratch scratch;
+  CompiledForest::Scratch scratch;
   f.compiled.predict_batch(matrix, test.dim(), out, scratch);
   EXPECT_EQ(out, expected);
 }
@@ -669,6 +764,38 @@ TEST(SerializeCorruption, ProbaSizeBombRejectedWithoutAllocation) {
   const Bytes wire = std::move(w).take();
   Reader r(wire);
   EXPECT_FALSE(DecisionTree::deserialize(r).has_value());
+}
+
+TEST(SerializeCorruption, LeafNarrowerThanNumClassesRejected) {
+  // A leaf whose distribution is shorter than num_classes used to load:
+  // RandomForest::predict_proba then read past the leaf vector while
+  // CompiledForest zero-padded it, so the two paths disagreed. Hand-built
+  // v1 wire: 3 classes, one tree, one leaf of `width` entries.
+  const auto wire_with_leaf_width = [](std::uint16_t width) {
+    Writer w;
+    w.u32(0x56505346);  // magic "VPSF"
+    w.u16(1);           // v1: forest only
+    w.u32(3);           // num_classes
+    w.u32(1);           // tree_count
+    w.u32(1);           // num_features
+    w.u32(1);           // node_count
+    w.u32(0);           // feature + 1 (leaf)
+    w.u64(0);           // threshold
+    w.u32(0);           // left + 1
+    w.u32(0);           // right + 1
+    w.u16(0);           // depth
+    w.u16(width);       // proba_size
+    for (std::uint16_t c = 0; c < width; ++c)
+      w.u64(std::bit_cast<std::uint64_t>(c == 0 ? 1.0 : 0.0));
+    w.u16(0);           // importance_size
+    return std::move(w).take();
+  };
+  const Bytes narrow = wire_with_leaf_width(1);
+  EXPECT_FALSE(deserialize_forest(narrow).has_value());
+  EXPECT_FALSE(deserialize_bundle(narrow).has_value());
+  // Control: the same wire with a full-width leaf loads.
+  EXPECT_TRUE(deserialize_forest(wire_with_leaf_width(3)).has_value());
+  EXPECT_TRUE(deserialize_bundle(wire_with_leaf_width(3)).has_value());
 }
 
 TEST(SerializeCorruption, DictionaryCountBombRejectedWithoutAllocation) {
