@@ -1,7 +1,16 @@
 #include "crypto/aes.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define VPSCOPE_X86 1
+#else
+#define VPSCOPE_X86 0
+#endif
 
 namespace vpscope::crypto {
 
@@ -34,16 +43,371 @@ constexpr std::uint8_t kSbox[256] = {
 constexpr std::uint8_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
                                     0x20, 0x40, 0x80, 0x1b, 0x36};
 
-inline std::uint8_t xtime(std::uint8_t x) {
+constexpr std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
+}
+
+// kTe[x] is SubBytes then MixColumns of byte x entering row 0 of a column,
+// as a big-endian column word (2·S[x], S[x], S[x], 3·S[x]). A byte entering
+// row r contributes the same word rotated right by 8·r bits.
+constexpr std::array<std::uint32_t, 256> make_te() {
+  std::array<std::uint32_t, 256> t{};
+  for (std::size_t i = 0; i < 256; ++i) {
+    const std::uint8_t s = kSbox[i];
+    const std::uint8_t s2 = xtime(s);
+    const std::uint8_t s3 = static_cast<std::uint8_t>(s2 ^ s);
+    t[i] = static_cast<std::uint32_t>(s2) << 24 |
+           static_cast<std::uint32_t>(s) << 16 |
+           static_cast<std::uint32_t>(s) << 8 | s3;
+  }
+  return t;
+}
+constexpr std::array<std::uint32_t, 256> kTe = make_te();
+
+// GHASH reduction constants for the 4-bit table walk: the bits shifted out
+// of the low end, folded back by R = 0xe1 || 0^120.
+constexpr std::uint64_t kRem4[16] = {
+    0x0000ULL << 48, 0x1c20ULL << 48, 0x3840ULL << 48, 0x2460ULL << 48,
+    0x7080ULL << 48, 0x6ca0ULL << 48, 0x48c0ULL << 48, 0x54e0ULL << 48,
+    0xe100ULL << 48, 0xfd20ULL << 48, 0xd940ULL << 48, 0xc560ULL << 48,
+    0x9180ULL << 48, 0x8da0ULL << 48, 0xa9c0ULL << 48, 0xb5e0ULL << 48};
+
+inline std::uint32_t load_be32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) << 24 |
+         static_cast<std::uint32_t>(p[1]) << 16 |
+         static_cast<std::uint32_t>(p[2]) << 8 | p[3];
+}
+
+inline void store_be32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(load_be32(p)) << 32 | load_be32(p + 4);
+}
+
+inline void store_be64(std::uint8_t* p, std::uint64_t v) {
+  store_be32(p, static_cast<std::uint32_t>(v >> 32));
+  store_be32(p + 4, static_cast<std::uint32_t>(v));
+}
+
+// Bit-length block closing GHASH: len(A) || len(C) in bits, big-endian.
+std::array<std::uint8_t, 16> length_block(std::size_t aad_n, std::size_t ct_n) {
+  std::array<std::uint8_t, 16> b;
+  store_be64(b.data(), static_cast<std::uint64_t>(aad_n) * 8);
+  store_be64(b.data() + 8, static_cast<std::uint64_t>(ct_n) * 8);
+  return b;
+}
+
+// ---- Portable kernel: T-table AES, Shoup 4-bit GHASH ----
+
+void encrypt_portable(const std::uint8_t* rk, const std::uint8_t* in,
+                      std::uint8_t* out) {
+  std::uint32_t s0 = load_be32(in) ^ load_be32(rk);
+  std::uint32_t s1 = load_be32(in + 4) ^ load_be32(rk + 4);
+  std::uint32_t s2 = load_be32(in + 8) ^ load_be32(rk + 8);
+  std::uint32_t s3 = load_be32(in + 12) ^ load_be32(rk + 12);
+  // Column c of the next state takes row r from column c + r (ShiftRows).
+  const auto column = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                         std::uint32_t d, const std::uint8_t* k) {
+    return kTe[a >> 24] ^ std::rotr(kTe[(b >> 16) & 0xff], 8) ^
+           std::rotr(kTe[(c >> 8) & 0xff], 16) ^ std::rotr(kTe[d & 0xff], 24) ^
+           load_be32(k);
+  };
+  for (int round = 1; round < 10; ++round) {
+    const std::uint8_t* k = rk + 16 * round;
+    const std::uint32_t t0 = column(s0, s1, s2, s3, k);
+    const std::uint32_t t1 = column(s1, s2, s3, s0, k + 4);
+    const std::uint32_t t2 = column(s2, s3, s0, s1, k + 8);
+    const std::uint32_t t3 = column(s3, s0, s1, s2, k + 12);
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
+  }
+  // Last round: SubBytes and ShiftRows only.
+  const auto last = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                       std::uint32_t d, const std::uint8_t* k) {
+    return (static_cast<std::uint32_t>(kSbox[a >> 24]) << 24 |
+            static_cast<std::uint32_t>(kSbox[(b >> 16) & 0xff]) << 16 |
+            static_cast<std::uint32_t>(kSbox[(c >> 8) & 0xff]) << 8 |
+            kSbox[d & 0xff]) ^
+           load_be32(k);
+  };
+  const std::uint8_t* k = rk + 160;
+  store_be32(out, last(s0, s1, s2, s3, k));
+  store_be32(out + 4, last(s1, s2, s3, s0, k + 4));
+  store_be32(out + 8, last(s2, s3, s0, s1, k + 8));
+  store_be32(out + 12, last(s3, s0, s1, s2, k + 12));
+}
+
+void ctr_xor_portable(const std::uint8_t* rk, const std::uint8_t* j0,
+                      const std::uint8_t* in, std::uint8_t* out,
+                      std::size_t n) {
+  std::uint8_t counter[16];
+  std::memcpy(counter, j0, 16);
+  std::uint32_t ctr = load_be32(j0 + 12);
+  std::uint8_t keystream[16];
+  for (std::size_t pos = 0; pos < n; pos += 16) {
+    store_be32(counter + 12, ++ctr);
+    encrypt_portable(rk, counter, keystream);
+    const std::size_t take = std::min<std::size_t>(16, n - pos);
+    for (std::size_t i = 0; i < take; ++i) out[pos + i] = in[pos + i] ^ keystream[i];
+  }
+}
+
+using HTable = std::array<std::array<std::uint64_t, 2>, 16>;
+
+// y = y·H, walking y a nibble at a time from its last byte (Shoup's
+// method): Z = Z·x^4 + nibble·H per step. Z starts at zero, so the first
+// multiply by x^4 is a no-op.
+void gmult_4bit(std::uint8_t y[16], const HTable& t) {
+  std::uint64_t zh = 0, zl = 0;
+  for (int i = 15; i >= 0; --i) {
+    for (const unsigned nibble : {y[i] & 0x0fu, static_cast<unsigned>(y[i] >> 4)}) {
+      const std::uint64_t rem = zl & 0x0f;
+      zl = zh << 60 | zl >> 4;
+      zh = (zh >> 4) ^ kRem4[rem];
+      zh ^= t[nibble][0];
+      zl ^= t[nibble][1];
+    }
+  }
+  store_be64(y, zh);
+  store_be64(y + 8, zl);
+}
+
+void ghash_blocks_portable(const HTable& t, std::uint8_t y[16],
+                           const std::uint8_t* data, std::size_t n) {
+  for (std::size_t pos = 0; pos < n; pos += 16) {
+    const std::size_t take = std::min<std::size_t>(16, n - pos);
+    for (std::size_t i = 0; i < take; ++i) y[i] ^= data[pos + i];
+    gmult_4bit(y, t);
+  }
+}
+
+void ghash_portable(const HTable& t, ByteView aad, ByteView ct,
+                    std::uint8_t out[16]) {
+  std::memset(out, 0, 16);
+  ghash_blocks_portable(t, out, aad.data(), aad.size());
+  ghash_blocks_portable(t, out, ct.data(), ct.size());
+  const auto lengths = length_block(aad.size(), ct.size());
+  ghash_blocks_portable(t, out, lengths.data(), lengths.size());
+}
+
+HTable make_htable(const std::array<std::uint8_t, 16>& h) {
+  HTable t{};
+  std::uint64_t vh = load_be64(h.data()), vl = load_be64(h.data() + 8);
+  // Entry 8 is H itself (the top bit of a nibble is x^0 in GHASH order);
+  // 4, 2, 1 are H·x, H·x^2, H·x^3; the rest are XOR combinations.
+  for (std::size_t i = 8; i > 0; i >>= 1) {
+    t[i] = {vh, vl};
+    const std::uint64_t reduce = 0xe100000000000000ULL & (0 - (vl & 1));
+    vl = vh << 63 | vl >> 1;
+    vh = (vh >> 1) ^ reduce;
+  }
+  for (std::size_t i = 2; i < 16; i <<= 1)
+    for (std::size_t j = 1; j < i; ++j)
+      t[i + j] = {t[i][0] ^ t[j][0], t[i][1] ^ t[j][1]};
+  return t;
+}
+
+// ---- x86 kernel: AES-NI rounds, PCLMULQDQ GHASH ----
+
+#if VPSCOPE_X86
+
+#define VPSCOPE_AESNI __attribute__((target("aes,pclmul,ssse3")))
+
+VPSCOPE_AESNI inline __m128i loadu(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+VPSCOPE_AESNI inline void storeu(std::uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+VPSCOPE_AESNI inline __m128i byte_reverse(__m128i v) {
+  return _mm_shuffle_epi8(
+      v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+VPSCOPE_AESNI void encrypt_aesni(const std::uint8_t* rk, const std::uint8_t* in,
+                                 std::uint8_t* out) {
+  __m128i m = _mm_xor_si128(loadu(in), loadu(rk));
+  for (int round = 1; round < 10; ++round)
+    m = _mm_aesenc_si128(m, loadu(rk + 16 * round));
+  storeu(out, _mm_aesenclast_si128(m, loadu(rk + 160)));
+}
+
+VPSCOPE_AESNI void ctr_xor_aesni(const std::uint8_t* rk_bytes,
+                                 const std::uint8_t* j0,
+                                 const std::uint8_t* in, std::uint8_t* out,
+                                 std::size_t n) {
+  __m128i rk[11];
+  for (int r = 0; r < 11; ++r) rk[r] = loadu(rk_bytes + 16 * r);
+  // Byte-reversed, the big-endian 32-bit counter of J0 sits in lane 0 as a
+  // little-endian word, so inc32 is one lane-wise add (mod 2^32).
+  __m128i ctr = byte_reverse(loadu(j0));
+  const __m128i one = _mm_set_epi32(0, 0, 0, 1);
+  const auto next = [&] {
+    ctr = _mm_add_epi32(ctr, one);
+    return _mm_xor_si128(byte_reverse(ctr), rk[0]);
+  };
+  std::size_t pos = 0;
+  // Four independent blocks per round hide the aesenc latency.
+  for (; pos + 64 <= n; pos += 64) {
+    __m128i b0 = next(), b1 = next(), b2 = next(), b3 = next();
+    for (int r = 1; r < 10; ++r) {
+      b0 = _mm_aesenc_si128(b0, rk[r]);
+      b1 = _mm_aesenc_si128(b1, rk[r]);
+      b2 = _mm_aesenc_si128(b2, rk[r]);
+      b3 = _mm_aesenc_si128(b3, rk[r]);
+    }
+    storeu(out + pos, _mm_xor_si128(loadu(in + pos), _mm_aesenclast_si128(b0, rk[10])));
+    storeu(out + pos + 16,
+           _mm_xor_si128(loadu(in + pos + 16), _mm_aesenclast_si128(b1, rk[10])));
+    storeu(out + pos + 32,
+           _mm_xor_si128(loadu(in + pos + 32), _mm_aesenclast_si128(b2, rk[10])));
+    storeu(out + pos + 48,
+           _mm_xor_si128(loadu(in + pos + 48), _mm_aesenclast_si128(b3, rk[10])));
+  }
+  for (; pos < n; pos += 16) {
+    __m128i b = next();
+    for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, rk[r]);
+    b = _mm_aesenclast_si128(b, rk[10]);
+    if (n - pos >= 16) {
+      storeu(out + pos, _mm_xor_si128(loadu(in + pos), b));
+    } else {
+      std::uint8_t keystream[16];
+      storeu(keystream, b);
+      for (std::size_t i = 0; i < n - pos; ++i) out[pos + i] = in[pos + i] ^ keystream[i];
+    }
+  }
+}
+
+// GF(2^128) products on byte-reversed operands (Gueron & Kounavis,
+// Algorithms 1 and 5): a 256-bit carry-less product, shifted left one bit
+// (GHASH's reflected bit order), reduced modulo x^128 + x^7 + x^2 + x + 1.
+// Shift and reduction are linear, so several products can be summed first
+// and reduced once.
+VPSCOPE_AESNI inline void clmul_wide(__m128i a, __m128i b, __m128i& lo,
+                                     __m128i& hi) {
+  const __m128i mid = _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
+                                    _mm_clmulepi64_si128(a, b, 0x01));
+  lo = _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x00), _mm_slli_si128(mid, 8));
+  hi = _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x11), _mm_srli_si128(mid, 8));
+}
+
+VPSCOPE_AESNI inline __m128i reduce_wide(__m128i lo, __m128i hi) {
+  // Shift the 256-bit product hi:lo left by one bit.
+  const __m128i lo_carry = _mm_srli_epi32(lo, 31);
+  const __m128i hi_carry = _mm_srli_epi32(hi, 31);
+  lo = _mm_or_si128(_mm_slli_epi32(lo, 1), _mm_slli_si128(lo_carry, 4));
+  hi = _mm_or_si128(_mm_slli_epi32(hi, 1), _mm_slli_si128(hi_carry, 4));
+  hi = _mm_or_si128(hi, _mm_srli_si128(lo_carry, 12));
+
+  // Reduce: fold lo into hi.
+  const __m128i t = _mm_xor_si128(
+      _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
+      _mm_slli_epi32(lo, 25));
+  const __m128i t_hi = _mm_srli_si128(t, 4);
+  lo = _mm_xor_si128(lo, _mm_slli_si128(t, 12));
+  __m128i u = _mm_xor_si128(
+      _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
+      _mm_srli_epi32(lo, 7));
+  u = _mm_xor_si128(u, t_hi);
+  return _mm_xor_si128(hi, _mm_xor_si128(lo, u));
+}
+
+VPSCOPE_AESNI inline __m128i gfmul(__m128i a, __m128i b) {
+  __m128i lo, hi;
+  clmul_wide(a, b, lo, hi);
+  return reduce_wide(lo, hi);
+}
+
+/// Byte-reversed H, H^2, H^3, H^4 for the four-block GHASH loop.
+VPSCOPE_AESNI void clmul_powers(const std::uint8_t* h_bytes, std::uint8_t* out) {
+  const __m128i h = byte_reverse(loadu(h_bytes));
+  __m128i p = h;
+  for (int i = 0; i < 4; ++i) {
+    storeu(out + 16 * i, p);
+    p = gfmul(p, h);
+  }
+}
+
+VPSCOPE_AESNI __m128i ghash_blocks_clmul(__m128i x, const __m128i* hpow,
+                                         const std::uint8_t* data,
+                                         std::size_t n) {
+  std::size_t pos = 0;
+  // Four blocks per reduction: x' = (x + b0)·H^4 + b1·H^3 + b2·H^2 + b3·H.
+  for (; pos + 64 <= n; pos += 64) {
+    __m128i lo, hi, lo_i, hi_i;
+    clmul_wide(_mm_xor_si128(x, byte_reverse(loadu(data + pos))), hpow[3], lo, hi);
+    for (int i = 1; i < 4; ++i) {
+      clmul_wide(byte_reverse(loadu(data + pos + 16 * i)), hpow[3 - i], lo_i, hi_i);
+      lo = _mm_xor_si128(lo, lo_i);
+      hi = _mm_xor_si128(hi, hi_i);
+    }
+    x = reduce_wide(lo, hi);
+  }
+  for (; pos + 16 <= n; pos += 16)
+    x = gfmul(_mm_xor_si128(x, byte_reverse(loadu(data + pos))), hpow[0]);
+  if (pos < n) {
+    std::uint8_t block[16] = {};
+    std::memcpy(block, data + pos, n - pos);
+    x = gfmul(_mm_xor_si128(x, byte_reverse(loadu(block))), hpow[0]);
+  }
+  return x;
+}
+
+VPSCOPE_AESNI void ghash_clmul(const std::uint8_t* hpow_bytes, ByteView aad,
+                               ByteView ct, std::uint8_t out[16]) {
+  __m128i hpow[4];
+  for (int i = 0; i < 4; ++i) hpow[i] = loadu(hpow_bytes + 16 * i);
+  __m128i x = _mm_setzero_si128();
+  x = ghash_blocks_clmul(x, hpow, aad.data(), aad.size());
+  x = ghash_blocks_clmul(x, hpow, ct.data(), ct.size());
+  const auto lengths = length_block(aad.size(), ct.size());
+  x = ghash_blocks_clmul(x, hpow, lengths.data(), lengths.size());
+  storeu(out, byte_reverse(x));
+}
+
+#endif  // VPSCOPE_X86
+
+AesKernel resolve_kernel(AesKernel kernel) {
+  if (kernel != AesKernel::Auto) return kernel;
+  static const AesKernel best = aes_kernel_supported(AesKernel::AesNi)
+                                    ? AesKernel::AesNi
+                                    : AesKernel::Portable;
+  return best;
 }
 
 }  // namespace
 
-Aes128::Aes128(ByteView key) {
+bool aes_kernel_supported(AesKernel kernel) {
+  switch (kernel) {
+    case AesKernel::Auto:
+    case AesKernel::Portable:
+      return true;
+    case AesKernel::AesNi:
+#if VPSCOPE_X86
+      return __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
+             __builtin_cpu_supports("ssse3");
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+Aes128::Aes128(ByteView key, AesKernel kernel) : kernel_(resolve_kernel(kernel)) {
   if (key.size() != kKeySize) throw std::invalid_argument("AES-128 key size");
+  if (!aes_kernel_supported(kernel_))
+    throw std::invalid_argument("AES-128: forced kernel unsupported on this CPU");
   std::memcpy(round_keys_.data(), key.data(), kKeySize);
-  for (int i = 4; i < 44; ++i) {
+  for (std::size_t i = 4; i < 44; ++i) {
     std::uint8_t temp[4];
     std::memcpy(temp, round_keys_.data() + (i - 1) * 4, 4);
     if (i % 4 == 0) {
@@ -54,60 +418,19 @@ Aes128::Aes128(ByteView key) {
       temp[2] = kSbox[temp[3]];
       temp[3] = kSbox[t0];
     }
-    for (int j = 0; j < 4; ++j)
-      round_keys_[static_cast<std::size_t>(i * 4 + j)] =
-          round_keys_[static_cast<std::size_t>((i - 4) * 4 + j)] ^ temp[j];
+    for (std::size_t j = 0; j < 4; ++j)
+      round_keys_[i * 4 + j] = round_keys_[(i - 4) * 4 + j] ^ temp[j];
   }
 }
 
 void Aes128::encrypt_block(std::uint8_t block[kBlockSize]) const {
-  auto add_round_key = [&](int round) {
-    for (int i = 0; i < 16; ++i)
-      block[i] ^= round_keys_[static_cast<std::size_t>(round * 16 + i)];
-  };
-  auto sub_bytes = [&] {
-    for (int i = 0; i < 16; ++i) block[i] = kSbox[block[i]];
-  };
-  auto shift_rows = [&] {
-    std::uint8_t t;
-    // row 1: rotate left by 1
-    t = block[1];
-    block[1] = block[5];
-    block[5] = block[9];
-    block[9] = block[13];
-    block[13] = t;
-    // row 2: rotate left by 2
-    std::swap(block[2], block[10]);
-    std::swap(block[6], block[14]);
-    // row 3: rotate left by 3
-    t = block[15];
-    block[15] = block[11];
-    block[11] = block[7];
-    block[7] = block[3];
-    block[3] = t;
-  };
-  auto mix_columns = [&] {
-    for (int c = 0; c < 4; ++c) {
-      std::uint8_t* col = block + c * 4;
-      const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-      const std::uint8_t all = a0 ^ a1 ^ a2 ^ a3;
-      col[0] = static_cast<std::uint8_t>(a0 ^ all ^ xtime(static_cast<std::uint8_t>(a0 ^ a1)));
-      col[1] = static_cast<std::uint8_t>(a1 ^ all ^ xtime(static_cast<std::uint8_t>(a1 ^ a2)));
-      col[2] = static_cast<std::uint8_t>(a2 ^ all ^ xtime(static_cast<std::uint8_t>(a2 ^ a3)));
-      col[3] = static_cast<std::uint8_t>(a3 ^ all ^ xtime(static_cast<std::uint8_t>(a3 ^ a0)));
-    }
-  };
-
-  add_round_key(0);
-  for (int round = 1; round <= 9; ++round) {
-    sub_bytes();
-    shift_rows();
-    mix_columns();
-    add_round_key(round);
+#if VPSCOPE_X86
+  if (kernel_ == AesKernel::AesNi) {
+    encrypt_aesni(round_keys_.data(), block, block);
+    return;
   }
-  sub_bytes();
-  shift_rows();
-  add_round_key(10);
+#endif
+  encrypt_portable(round_keys_.data(), block, block);
 }
 
 std::array<std::uint8_t, Aes128::kBlockSize> Aes128::encrypt_block(
@@ -117,132 +440,100 @@ std::array<std::uint8_t, Aes128::kBlockSize> Aes128::encrypt_block(
   return out;
 }
 
-namespace {
-
-// GF(2^128) multiplication for GHASH, bitwise (slow but simple and correct).
-std::array<std::uint8_t, 16> gf128_mul(const std::array<std::uint8_t, 16>& x,
-                                       const std::array<std::uint8_t, 16>& y) {
-  std::array<std::uint8_t, 16> z{};
-  std::array<std::uint8_t, 16> v = y;
-  for (int i = 0; i < 128; ++i) {
-    const int byte = i / 8;
-    const int bit = 7 - (i % 8);
-    if ((x[static_cast<std::size_t>(byte)] >> bit) & 1) {
-      for (int j = 0; j < 16; ++j) z[static_cast<std::size_t>(j)] ^= v[static_cast<std::size_t>(j)];
-    }
-    // v = v >> 1 (in GHASH bit order), with reduction by R = 0xe1...
-    const bool lsb = v[15] & 1;
-    for (int j = 15; j > 0; --j)
-      v[static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(
-          (v[static_cast<std::size_t>(j)] >> 1) |
-          (v[static_cast<std::size_t>(j - 1)] << 7));
-    v[0] >>= 1;
-    if (lsb) v[0] ^= 0xe1;
+Aes128Gcm::Aes128Gcm(ByteView key, AesKernel kernel) : aes_(key, kernel) {
+  const auto h = aes_.encrypt_block(std::array<std::uint8_t, 16>{});
+#if VPSCOPE_X86
+  if (aes_.kernel_ == AesKernel::AesNi) {
+    clmul_powers(h.data(), hpow_.data());
+    return;
   }
-  return z;
-}
-
-void ghash_update(std::array<std::uint8_t, 16>& y,
-                  const std::array<std::uint8_t, 16>& h, ByteView data) {
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    std::array<std::uint8_t, 16> block{};
-    const std::size_t take = std::min<std::size_t>(16, data.size() - pos);
-    std::memcpy(block.data(), data.data() + pos, take);
-    for (int i = 0; i < 16; ++i)
-      y[static_cast<std::size_t>(i)] ^= block[static_cast<std::size_t>(i)];
-    y = gf128_mul(y, h);
-    pos += take;
-  }
-}
-
-}  // namespace
-
-Aes128Gcm::Aes128Gcm(ByteView key) : aes_(key) {
-  std::array<std::uint8_t, 16> zero{};
-  h_ = aes_.encrypt_block(zero);
+#endif
+  htable_ = make_htable(h);
 }
 
 std::array<std::uint8_t, 16> Aes128Gcm::ghash(ByteView aad,
                                               ByteView ciphertext) const {
-  std::array<std::uint8_t, 16> y{};
-  ghash_update(y, h_, aad);
-  ghash_update(y, h_, ciphertext);
-  std::array<std::uint8_t, 16> lengths{};
-  const std::uint64_t aad_bits = aad.size() * 8;
-  const std::uint64_t ct_bits = ciphertext.size() * 8;
-  for (int i = 0; i < 8; ++i) {
-    lengths[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(aad_bits >> (56 - 8 * i));
-    lengths[static_cast<std::size_t>(8 + i)] =
-        static_cast<std::uint8_t>(ct_bits >> (56 - 8 * i));
+  std::array<std::uint8_t, 16> s;
+#if VPSCOPE_X86
+  if (aes_.kernel_ == AesKernel::AesNi) {
+    ghash_clmul(hpow_.data(), aad, ciphertext, s.data());
+    return s;
   }
-  for (int i = 0; i < 16; ++i)
-    y[static_cast<std::size_t>(i)] ^= lengths[static_cast<std::size_t>(i)];
-  return gf128_mul(y, h_);
+#endif
+  ghash_portable(htable_, aad, ciphertext, s.data());
+  return s;
+}
+
+void Aes128Gcm::ctr_xor(const std::array<std::uint8_t, 16>& j0,
+                        const std::uint8_t* in, std::uint8_t* out,
+                        std::size_t n) const {
+#if VPSCOPE_X86
+  if (aes_.kernel_ == AesKernel::AesNi) {
+    ctr_xor_aesni(aes_.round_keys_.data(), j0.data(), in, out, n);
+    return;
+  }
+#endif
+  ctr_xor_portable(aes_.round_keys_.data(), j0.data(), in, out, n);
+}
+
+namespace {
+
+// J0 = nonce || 0x00000001 for 96-bit nonces.
+std::array<std::uint8_t, 16> make_j0(ByteView nonce) {
+  std::array<std::uint8_t, 16> j0{};
+  std::memcpy(j0.data(), nonce.data(), Aes128Gcm::kNonceSize);
+  j0[15] = 1;
+  return j0;
+}
+
+}  // namespace
+
+void Aes128Gcm::seal_into(ByteView nonce, ByteView aad, ByteView plaintext,
+                          std::span<std::uint8_t> out) const {
+  if (nonce.size() != kNonceSize)
+    throw std::invalid_argument("GCM nonce must be 12 bytes");
+  if (out.size() != plaintext.size() + kTagSize)
+    throw std::invalid_argument("GCM seal output must be plaintext + 16 bytes");
+  const auto j0 = make_j0(nonce);
+  ctr_xor(j0, plaintext.data(), out.data(), plaintext.size());
+  const auto s = ghash(aad, out.first(plaintext.size()));
+  const auto tag_mask = aes_.encrypt_block(j0);
+  for (std::size_t i = 0; i < kTagSize; ++i)
+    out[plaintext.size() + i] = s[i] ^ tag_mask[i];
 }
 
 Bytes Aes128Gcm::seal(ByteView nonce, ByteView aad, ByteView plaintext) const {
-  if (nonce.size() != kNonceSize)
-    throw std::invalid_argument("GCM nonce must be 12 bytes");
-
-  // J0 = nonce || 0x00000001 for 96-bit nonces.
-  std::array<std::uint8_t, 16> counter{};
-  std::memcpy(counter.data(), nonce.data(), kNonceSize);
-  counter[15] = 1;
-  const auto tag_mask = aes_.encrypt_block(counter);
-
-  Bytes ciphertext(plaintext.begin(), plaintext.end());
-  std::uint32_t ctr = 2;
-  for (std::size_t pos = 0; pos < ciphertext.size(); pos += 16, ++ctr) {
-    std::array<std::uint8_t, 16> block = counter;
-    for (int i = 0; i < 4; ++i)
-      block[static_cast<std::size_t>(12 + i)] =
-          static_cast<std::uint8_t>(ctr >> (24 - 8 * i));
-    const auto keystream = aes_.encrypt_block(block);
-    const std::size_t take = std::min<std::size_t>(16, ciphertext.size() - pos);
-    for (std::size_t i = 0; i < take; ++i) ciphertext[pos + i] ^= keystream[i];
-  }
-
-  const auto s = ghash(aad, ciphertext);
-  Bytes out = std::move(ciphertext);
-  for (int i = 0; i < 16; ++i)
-    out.push_back(s[static_cast<std::size_t>(i)] ^
-                  tag_mask[static_cast<std::size_t>(i)]);
+  Bytes out(plaintext.size() + kTagSize);
+  seal_into(nonce, aad, plaintext, out);
   return out;
+}
+
+bool Aes128Gcm::open_into(ByteView nonce, ByteView aad,
+                          ByteView ciphertext_and_tag,
+                          std::span<std::uint8_t> plaintext) const {
+  if (nonce.size() != kNonceSize || ciphertext_and_tag.size() < kTagSize ||
+      plaintext.size() != ciphertext_and_tag.size() - kTagSize)
+    return false;
+  const ByteView ciphertext = ciphertext_and_tag.first(plaintext.size());
+  const ByteView tag = ciphertext_and_tag.last(kTagSize);
+
+  const auto j0 = make_j0(nonce);
+  const auto tag_mask = aes_.encrypt_block(j0);
+  const auto s = ghash(aad, ciphertext);
+  std::uint8_t diff = 0;
+  for (std::size_t i = 0; i < kTagSize; ++i)
+    diff |= static_cast<std::uint8_t>(tag[i] ^ s[i] ^ tag_mask[i]);
+  if (diff != 0) return false;
+
+  ctr_xor(j0, ciphertext.data(), plaintext.data(), ciphertext.size());
+  return true;
 }
 
 std::optional<Bytes> Aes128Gcm::open(ByteView nonce, ByteView aad,
                                      ByteView ciphertext_and_tag) const {
   if (ciphertext_and_tag.size() < kTagSize) return std::nullopt;
-  const ByteView ciphertext =
-      ciphertext_and_tag.first(ciphertext_and_tag.size() - kTagSize);
-  const ByteView tag = ciphertext_and_tag.last(kTagSize);
-
-  std::array<std::uint8_t, 16> counter{};
-  std::memcpy(counter.data(), nonce.data(), kNonceSize);
-  counter[15] = 1;
-  const auto tag_mask = aes_.encrypt_block(counter);
-  const auto s = ghash(aad, ciphertext);
-
-  std::uint8_t diff = 0;
-  for (int i = 0; i < 16; ++i)
-    diff |= static_cast<std::uint8_t>(
-        tag[static_cast<std::size_t>(i)] ^ s[static_cast<std::size_t>(i)] ^
-        tag_mask[static_cast<std::size_t>(i)]);
-  if (diff != 0) return std::nullopt;
-
-  Bytes plaintext(ciphertext.begin(), ciphertext.end());
-  std::uint32_t ctr = 2;
-  for (std::size_t pos = 0; pos < plaintext.size(); pos += 16, ++ctr) {
-    std::array<std::uint8_t, 16> block = counter;
-    for (int i = 0; i < 4; ++i)
-      block[static_cast<std::size_t>(12 + i)] =
-          static_cast<std::uint8_t>(ctr >> (24 - 8 * i));
-    const auto keystream = aes_.encrypt_block(block);
-    const std::size_t take = std::min<std::size_t>(16, plaintext.size() - pos);
-    for (std::size_t i = 0; i < take; ++i) plaintext[pos + i] ^= keystream[i];
-  }
+  Bytes plaintext(ciphertext_and_tag.size() - kTagSize);
+  if (!open_into(nonce, aad, ciphertext_and_tag, plaintext)) return std::nullopt;
   return plaintext;
 }
 

@@ -3,6 +3,10 @@
 // (RFC 9001 §5.2) is built from.
 #pragma once
 
+#include <span>
+#include <string_view>
+
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 
 namespace vpscope::crypto {
@@ -18,5 +22,13 @@ Bytes hkdf_expand(ByteView prk, ByteView info, std::size_t length);
 /// label prefix, as used by both TLS 1.3 and QUIC v1.
 Bytes hkdf_expand_label(ByteView secret, std::string_view label,
                         ByteView context, std::size_t length);
+
+/// HKDF-Expand-Label(secret, label, "", out.size()) for outputs of at most
+/// one SHA-256 block (32 bytes), written into `out` without allocating.
+/// `secret` is the HMAC already keyed with the secret, so several labels
+/// under one secret share its pad blocks. Throws std::invalid_argument on
+/// an output over 32 bytes or a label over 249 bytes.
+void hkdf_expand_label(const HmacSha256& secret, std::string_view label,
+                       std::span<std::uint8_t> out);
 
 }  // namespace vpscope::crypto

@@ -1,6 +1,14 @@
 #include "crypto/sha256.hpp"
 
 #include <cstring>
+#include <stdexcept>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define VPSCOPE_X86 1
+#else
+#define VPSCOPE_X86 0
+#endif
 
 namespace vpscope::crypto {
 
@@ -23,14 +31,7 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
-      buffer_{} {}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void compress_portable(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
@@ -46,8 +47,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -66,14 +67,107 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if VPSCOPE_X86
+
+// SHA-NI keeps the state as two vectors, ABEF and CDGH; each
+// sha256rnds2 runs two rounds, and msg1/msg2 extend the message schedule
+// four words at a time.
+__attribute__((target("sha,ssse3,sse4.1"))) void compress_shani(
+    std::uint32_t* state, const std::uint8_t* block) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xb1);
+  __m128i state1 = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1b);
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xf0);       // CDGH
+  const __m128i abef = state0, cdgh = state1;
+
+  // w[g % 4] holds schedule words 4g..4g+3 of group g.
+  __m128i w[4];
+  for (int g = 0; g < 16; ++g) {
+    if (g < 4) {
+      w[g] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)),
+          byte_swap);
+    } else {
+      __m128i x = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
+      x = _mm_add_epi32(x, _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
+      w[g % 4] = _mm_sha256msg2_epu32(x, w[(g + 3) % 4]);
+    }
+    const __m128i wk = _mm_add_epi32(
+        w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+    state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+    state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32(wk, 0x0e));
+  }
+
+  state0 = _mm_add_epi32(state0, abef);
+  state1 = _mm_add_epi32(state1, cdgh);
+  // Back from ABEF/CDGH to A..H word order.
+  tmp = _mm_shuffle_epi32(state0, 0x1b);
+  state1 = _mm_shuffle_epi32(state1, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(tmp, state1, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(state1, tmp, 8));
+}
+
+#endif  // VPSCOPE_X86
+
+ShaKernel resolve_kernel(ShaKernel kernel) {
+  if (kernel != ShaKernel::Auto) return kernel;
+  static const ShaKernel best = sha_kernel_supported(ShaKernel::ShaNi)
+                                    ? ShaKernel::ShaNi
+                                    : ShaKernel::Portable;
+  return best;
+}
+
+}  // namespace
+
+bool sha_kernel_supported(ShaKernel kernel) {
+  switch (kernel) {
+    case ShaKernel::Auto:
+    case ShaKernel::Portable:
+      return true;
+    case ShaKernel::ShaNi:
+#if VPSCOPE_X86
+      return __builtin_cpu_supports("sha") && __builtin_cpu_supports("ssse3") &&
+             __builtin_cpu_supports("sse4.1");
+#else
+      return false;
+#endif
+  }
+  return false;
+}
+
+Sha256::Sha256(ShaKernel kernel)
+    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
+             0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
+      buffer_{},
+      kernel_(resolve_kernel(kernel)) {
+  if (!sha_kernel_supported(kernel_))
+    throw std::invalid_argument("SHA-256: forced kernel unsupported on this CPU");
+}
+
+void Sha256::process_block(const std::uint8_t* block) {
+#if VPSCOPE_X86
+  if (kernel_ == ShaKernel::ShaNi) {
+    compress_shani(state_.data(), block);
+    return;
+  }
+#endif
+  compress_portable(state_.data(), block);
 }
 
 void Sha256::update(ByteView data) {
@@ -102,17 +196,19 @@ void Sha256::update(ByteView data) {
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView{&pad_byte, 1});
-  const std::uint8_t zero = 0x00;
-  // Pad until 8 bytes remain in the current block for the length field.
-  while (buffer_len_ != kBlockSize - 8) update(ByteView{&zero, 1});
-  // Careful: the length-field bytes must not recount into total_len_, but
-  // since we are finishing, total_len_ no longer matters.
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(ByteView{len_bytes, 8});
+  // Padding: 0x80, zeros up to 8 bytes short of a block boundary, then the
+  // 64-bit big-endian message length (one extra block if it does not fit).
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i)
+    buffer_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   std::array<std::uint8_t, kDigestSize> out;
   for (int i = 0; i < 8; ++i) {
@@ -130,13 +226,15 @@ std::array<std::uint8_t, Sha256::kDigestSize> Sha256::digest(ByteView data) {
   return h.finish();
 }
 
-std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(ByteView key,
-                                                          ByteView data) {
+HmacSha256::HmacSha256(ByteView key, ShaKernel kernel)
+    : inner_(kernel), outer_(kernel) {
   std::array<std::uint8_t, Sha256::kBlockSize> k_block{};
   if (key.size() > Sha256::kBlockSize) {
-    const auto digest = Sha256::digest(key);
+    Sha256 h(kernel);
+    h.update(key);
+    const auto digest = h.finish();
     std::memcpy(k_block.data(), digest.data(), digest.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(k_block.data(), key.data(), key.size());
   }
 
@@ -145,16 +243,23 @@ std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(ByteView key,
     ipad[i] = k_block[i] ^ 0x36;
     opad[i] = k_block[i] ^ 0x5c;
   }
+  inner_.update(ByteView{ipad.data(), ipad.size()});
+  outer_.update(ByteView{opad.data(), opad.size()});
+}
 
-  Sha256 inner;
-  inner.update(ByteView{ipad.data(), ipad.size()});
+std::array<std::uint8_t, Sha256::kDigestSize> HmacSha256::mac(
+    ByteView data) const {
+  Sha256 inner = inner_;
   inner.update(data);
   const auto inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(ByteView{opad.data(), opad.size()});
+  Sha256 outer = outer_;
   outer.update(ByteView{inner_digest.data(), inner_digest.size()});
   return outer.finish();
+}
+
+std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(ByteView key,
+                                                          ByteView data) {
+  return HmacSha256(key).mac(data);
 }
 
 }  // namespace vpscope::crypto

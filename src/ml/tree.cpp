@@ -205,10 +205,12 @@ std::optional<DecisionTree> DecisionTree::deserialize(Reader& r) {
   if (node_count > r.remaining() / 24) return std::nullopt;
   tree.nodes_.resize(node_count);
   for (Node& node : tree.nodes_) {
-    node.feature = static_cast<int>(r.u32()) - 1;
+    // Fields are stored +1 (0 = none). Subtract before narrowing: on the
+    // int, 0x80000000 - 1 would overflow.
+    node.feature = static_cast<int>(r.u32() - 1u);
     node.threshold = std::bit_cast<double>(r.u64());
-    node.left = static_cast<int>(r.u32()) - 1;
-    node.right = static_cast<int>(r.u32()) - 1;
+    node.left = static_cast<int>(r.u32() - 1u);
+    node.right = static_cast<int>(r.u32() - 1u);
     node.depth = r.u16();
     const std::uint16_t proba_size = r.u16();
     if (!r.ok() || proba_size > 4096 || proba_size > r.remaining() / 8)

@@ -8,42 +8,64 @@
 //
 //   synthesize:  ClientHello bytes -> CRYPTO frames -> AEAD-sealed,
 //                header-protected Initial packet(s), padded to >= 1200 B
-//   observe:     UDP datagram -> header unprotection -> AEAD open ->
-//                CRYPTO reassembly -> ClientHello bytes
+//   observe:     UDP datagram -> header checks -> header unprotection ->
+//                AEAD open -> CRYPTO reassembly -> ClientHello bytes
 //
 // Large ClientHellos (e.g. post-quantum key shares) are split across
 // multiple Initial datagrams, as real clients do.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "crypto/aes.hpp"
 #include "util/bytes.hpp"
 
 namespace vpscope::quic {
 
 inline constexpr std::uint32_t kQuicVersion1 = 0x00000001;
 inline constexpr std::size_t kMinInitialDatagram = 1200;
+/// RFC 9000 §17.2: v1 connection IDs are at most 20 bytes.
+inline constexpr std::size_t kMaxConnectionIdLen = 20;
 
 /// Cleartext view of one Initial packet (after header/payload unprotection).
+///
+/// `dcid`, `scid` and `token` borrow from the datagram handed to
+/// unprotect_client_initial, which must outlive this value. The CRYPTO
+/// fragments borrow from `cleartext`, which this value owns; moving keeps
+/// them valid, and copying is disabled so no copy can point into its source.
 struct InitialPacket {
+  InitialPacket() = default;
+  InitialPacket(InitialPacket&&) = default;
+  InitialPacket& operator=(InitialPacket&&) = default;
+  InitialPacket(const InitialPacket&) = delete;
+  InitialPacket& operator=(const InitialPacket&) = delete;
+
   std::uint32_t version = kQuicVersion1;
-  Bytes dcid;
-  Bytes scid;
-  Bytes token;
+  ByteView dcid;
+  ByteView scid;
+  ByteView token;
   std::uint64_t packet_number = 0;
+  /// The packet with both protections removed: the header with its first
+  /// byte and packet number unmasked (the AEAD's associated data), then the
+  /// decrypted payload (no tag).
+  Bytes cleartext;
   /// CRYPTO frame fragments carried by this packet: (stream offset, data).
-  std::vector<std::pair<std::uint64_t, Bytes>> crypto_fragments;
+  std::vector<std::pair<std::uint64_t, ByteView>> crypto_fragments;
 };
 
 /// Client Initial AEAD/HP key material derived from the DCID (RFC 9001 §5.2).
 struct InitialKeys {
-  Bytes key;  // 16 B, AES-128-GCM
-  Bytes iv;   // 12 B
-  Bytes hp;   // 16 B, header protection
+  std::array<std::uint8_t, 16> key;  // AES-128-GCM
+  std::array<std::uint8_t, 12> iv;
+  std::array<std::uint8_t, 16> hp;  // header protection
 };
 
+/// Allocation-free: HMAC pad states of the v1 salt are computed once per
+/// process, those of the client secret once per call.
 InitialKeys derive_client_initial_keys(ByteView dcid);
 
 /// Builds the protected client Initial flight carrying `crypto_stream`
@@ -54,24 +76,57 @@ InitialKeys derive_client_initial_keys(ByteView dcid);
 std::vector<Bytes> build_client_initial_flight(
     ByteView dcid, ByteView scid, ByteView crypto_stream,
     std::uint64_t first_packet_number = 0,
-    std::size_t datagram_size = kMinInitialDatagram);
+    std::size_t datagram_size = kMinInitialDatagram,
+    crypto::AesKernel kernel = crypto::AesKernel::Auto);
 
 /// Removes protection from one client Initial datagram. Returns nullopt if
-/// the datagram is not a v1 Initial or authentication fails.
-std::optional<InitialPacket> unprotect_client_initial(ByteView datagram);
+/// the datagram is not a v1 Initial, fails a header check that needs no key
+/// (RFC 9000: under 1200 bytes, a connection ID over 20 bytes, a token or
+/// Length field running past the datagram, no room for the header
+/// protection sample), or fails authentication. Keys are derived only for
+/// datagrams that pass the header checks.
+std::optional<InitialPacket> unprotect_client_initial(
+    ByteView datagram, crypto::AesKernel kernel = crypto::AesKernel::Auto);
 
-/// Convenience for observers: feeds datagrams of one flow in order and
-/// reassembles the CRYPTO stream. Returns nullopt until the stream is
-/// gapless from offset 0; callers typically stop as soon as a full
+/// Expanded AEAD and header-protection ciphers of one DCID (initial.cpp).
+struct InitialCipher;
+
+/// Per-connection form of unprotect_client_initial: keeps the expanded
+/// ciphers of the last DCID it derived keys for, so a connection's later
+/// Initials skip key derivation and key expansion. The cipher state (about
+/// 700 B) is allocated on first use.
+class InitialUnprotector {
+ public:
+  explicit InitialUnprotector(crypto::AesKernel kernel = crypto::AesKernel::Auto);
+  ~InitialUnprotector();
+  InitialUnprotector(InitialUnprotector&&) noexcept;
+  InitialUnprotector& operator=(InitialUnprotector&&) noexcept;
+
+  std::optional<InitialPacket> unprotect(ByteView datagram);
+
+ private:
+  std::unique_ptr<InitialCipher> cipher_;
+  crypto::AesKernel kernel_;
+};
+
+/// Convenience for observers: feeds datagrams of one flow in any order and
+/// reassembles the CRYPTO stream; callers typically stop as soon as a full
 /// ClientHello parses.
 class CryptoReassembler {
  public:
+  /// Copies the packet's CRYPTO bytes: those extending the contiguous
+  /// prefix are appended at once, fragments past a gap wait until it
+  /// closes. Where fragments overlap, the bytes that arrived first win.
   void add(const InitialPacket& packet);
-  /// Contiguous prefix of the CRYPTO stream assembled so far.
-  Bytes contiguous_prefix() const;
+  /// Contiguous prefix of the CRYPTO stream assembled so far (from offset
+  /// 0 up to the first gap).
+  const Bytes& contiguous_prefix() const { return prefix_; }
 
  private:
-  std::vector<std::pair<std::uint64_t, Bytes>> fragments_;
+  void extend(std::uint64_t offset, ByteView data);
+
+  Bytes prefix_;
+  std::vector<std::pair<std::uint64_t, Bytes>> pending_;  // past a gap
 };
 
 /// True if the datagram looks like a QUIC v1 long-header Initial (cheap

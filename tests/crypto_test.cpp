@@ -1,14 +1,21 @@
 // Crypto substrate validation against published test vectors:
 // FIPS 180-4 (SHA-256), RFC 4231 (HMAC), RFC 5869 (HKDF), FIPS 197 (AES),
 // NIST GCM vectors, RFC 1321 (MD5), and RFC 9001 Appendix A (the QUIC v1
-// Initial key schedule, exercised here at the HKDF layer).
+// Initial key schedule, exercised here at the HKDF layer). Every AES kernel
+// the CPU supports is also checked byte for byte against the bit-serial
+// reference in tests/support/crypto_oracle.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <vector>
 
 #include "crypto/aes.hpp"
 #include "crypto/hkdf.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
+#include "support/crypto_oracle.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace vpscope::crypto {
 namespace {
@@ -62,6 +69,44 @@ TEST(Sha256, StreamingSplitsMatchOneShot) {
     h.update(sv(msg.substr(0, split)));
     h.update(sv(msg.substr(split)));
     EXPECT_EQ(h.finish(), expected) << "split=" << split;
+  }
+}
+
+std::vector<ShaKernel> supported_sha_kernels() {
+  std::vector<ShaKernel> out;
+  for (const ShaKernel k : {ShaKernel::Portable, ShaKernel::ShaNi})
+    if (sha_kernel_supported(k)) out.push_back(k);
+  return out;
+}
+
+TEST(Sha256Kernels, PublishedVectorsAtEveryKernel) {
+  for (const ShaKernel kernel : supported_sha_kernels()) {
+    SCOPED_TRACE(static_cast<int>(kernel));
+    Sha256 h(kernel);
+    h.update(sv("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"));
+    EXPECT_EQ(hex_of(h.finish()),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(hex_of(HmacSha256(Bytes(131, 0xaa), kernel)
+                         .mac(sv("Test Using Larger Than Block-Size Key - Hash Key First"))),
+              "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  }
+}
+
+TEST(Sha256Kernels, AgreeOnRandomMessagesAndSplits) {
+  Rng rng(180);
+  for (int i = 0; i < 300; ++i) {
+    Bytes msg(rng.uniform(0, 300));
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u32());
+    const std::size_t split = rng.uniform(0, msg.size());
+    std::optional<std::array<std::uint8_t, Sha256::kDigestSize>> first;
+    for (const ShaKernel kernel : supported_sha_kernels()) {
+      Sha256 h(kernel);
+      h.update(ByteView{msg}.first(split));
+      h.update(ByteView{msg}.subspan(split));
+      const auto digest = h.finish();
+      if (!first) first = digest;
+      ASSERT_EQ(digest, *first) << "case " << i << " length " << msg.size();
+    }
   }
 }
 
@@ -227,6 +272,117 @@ TEST(Aes128Gcm, OpenRejectsShortInput) {
   const Bytes nonce(12, 9);
   Aes128Gcm gcm(key);
   EXPECT_FALSE(gcm.open(nonce, {}, from_hex("0011")).has_value());
+}
+
+TEST(Aes128Gcm, OpenRejectsWrongSizeNonce) {
+  const Bytes key(16, 7);
+  // The 8-byte nonce is a prefix of the 12-byte nonce that sealed the
+  // message: reading 12 bytes from it would authenticate.
+  const Bytes nonce = from_hex("0102030405060708090a0b0c");
+  const ByteView short_nonce = ByteView{nonce}.first(8);
+  Aes128Gcm gcm(key);
+  const Bytes sealed = gcm.seal(nonce, {}, from_hex("00112233"));
+  ASSERT_TRUE(gcm.open(nonce, {}, sealed).has_value());
+  EXPECT_FALSE(gcm.open(short_nonce, {}, sealed).has_value());
+  Bytes plain(4);
+  EXPECT_FALSE(gcm.open_into(short_nonce, {}, sealed, plain));
+  EXPECT_THROW(gcm.seal(short_nonce, {}, plain), std::invalid_argument);
+}
+
+// ---- Kernels against the bit-serial reference ----
+
+std::vector<AesKernel> supported_kernels() {
+  std::vector<AesKernel> out;
+  for (const AesKernel k : {AesKernel::Portable, AesKernel::AesNi})
+    if (aes_kernel_supported(k)) out.push_back(k);
+  return out;
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u32());
+  return out;
+}
+
+TEST(AesKernels, PublishedVectorsAtEveryKernel) {
+  for (const AesKernel kernel : supported_kernels()) {
+    SCOPED_TRACE(static_cast<int>(kernel));
+    Bytes block = from_hex("00112233445566778899aabbccddeeff");
+    const Aes128 aes(from_hex("000102030405060708090a0b0c0d0e0f"), kernel);
+    EXPECT_EQ(aes.kernel(), kernel);
+    aes.encrypt_block(block.data());
+    EXPECT_EQ(to_hex(block), "69c4e0d86a7b0430d8cdb78070b4c55a");
+
+    const Aes128Gcm gcm(from_hex("feffe9928665731c6d6a8f9467308308"), kernel);
+    const Bytes nonce = from_hex("cafebabefacedbaddecaf888");
+    const Bytes aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+    const Bytes plaintext = from_hex(
+        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+        "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
+    EXPECT_EQ(to_hex(gcm.seal(nonce, aad, plaintext)),
+              "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+              "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
+              "5bc94fbc3221a5db94fae95ae7121a47");
+  }
+}
+
+TEST(AesKernels, BlockCipherMatchesReferenceOnRandomKeys) {
+  Rng rng(197);
+  for (const AesKernel kernel : supported_kernels()) {
+    SCOPED_TRACE(static_cast<int>(kernel));
+    for (int i = 0; i < 500; ++i) {
+      const Bytes key = random_bytes(rng, 16);
+      std::array<std::uint8_t, 16> block;
+      for (auto& b : block) b = static_cast<std::uint8_t>(rng.next_u32());
+      const auto expected = oracle::aes128_encrypt(key, block);
+      const auto got = Aes128(key, kernel).encrypt_block(block);
+      ASSERT_EQ(std::memcmp(got.data(), expected.data(), 16), 0) << "case " << i;
+    }
+  }
+}
+
+TEST(AesKernels, GcmSealOpenMatchReferenceOnRandomInputs) {
+  // Lengths that are not multiples of 16 on purpose, plus the block and
+  // four-block boundaries of the CTR and GHASH loops.
+  const std::size_t edge_lengths[] = {0,  1,  15, 16,  17,  31,   32,   33,  63,
+                                      64, 65, 79, 127, 128, 1167, 2047, 2048};
+  Rng rng(38);
+  for (const AesKernel kernel : supported_kernels()) {
+    SCOPED_TRACE(static_cast<int>(kernel));
+    for (int i = 0; i < 300; ++i) {
+      const Bytes key = random_bytes(rng, 16);
+      const Bytes nonce = random_bytes(rng, 12);
+      const Bytes aad = random_bytes(rng, rng.uniform(0, 64));
+      const std::size_t n = i < static_cast<int>(std::size(edge_lengths))
+                                ? edge_lengths[i]
+                                : rng.uniform(0, 2048);
+      const Bytes plaintext = random_bytes(rng, n);
+      const Aes128Gcm gcm(key, kernel);
+
+      const Bytes expected = oracle::gcm_seal(key, nonce, aad, plaintext);
+      const Bytes sealed = gcm.seal(nonce, aad, plaintext);
+      ASSERT_EQ(sealed.size(), expected.size()) << "case " << i;
+      ASSERT_EQ(std::memcmp(sealed.data(), expected.data(), sealed.size()), 0)
+          << "case " << i << " aad " << aad.size() << " n " << n;
+
+      const auto opened = gcm.open(nonce, aad, sealed);
+      ASSERT_TRUE(opened.has_value()) << "case " << i;
+      ASSERT_EQ(*opened, plaintext) << "case " << i;
+
+      // Any flipped bit of ciphertext, tag or AAD fails both.
+      Bytes tampered = sealed;
+      tampered[rng.uniform(0, tampered.size() - 1)] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform(0, 7));
+      EXPECT_FALSE(gcm.open(nonce, aad, tampered).has_value()) << "case " << i;
+      EXPECT_FALSE(oracle::gcm_open(key, nonce, aad, tampered).has_value());
+      if (!aad.empty()) {
+        Bytes bad_aad = aad;
+        bad_aad[rng.uniform(0, bad_aad.size() - 1)] ^= 0x80;
+        EXPECT_FALSE(gcm.open(nonce, bad_aad, sealed).has_value()) << "case " << i;
+        EXPECT_FALSE(oracle::gcm_open(key, nonce, bad_aad, sealed).has_value());
+      }
+    }
+  }
 }
 
 // ---- MD5 (RFC 1321 Appendix A.5) ----

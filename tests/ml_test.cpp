@@ -766,6 +766,26 @@ TEST(SerializeCorruption, ProbaSizeBombRejectedWithoutAllocation) {
   EXPECT_FALSE(DecisionTree::deserialize(r).has_value());
 }
 
+TEST(SerializeCorruption, NodeFieldsOfHalfRangeRejectedWithoutOverflow) {
+  // Pinned regression: node fields are stored +1 as u32, and decoding
+  // 0x80000000 as int then subtracting 1 overflowed (UBSan: signed integer
+  // overflow). Decoded in unsigned arithmetic it is INT_MAX, an
+  // out-of-range feature/child, and the tree is rejected.
+  Writer w;
+  w.u32(1);            // num_features
+  w.u32(1);            // node_count
+  w.u32(0x80000000u);  // feature + 1
+  w.u64(0);            // threshold
+  w.u32(0x80000000u);  // left + 1
+  w.u32(0x80000000u);  // right + 1
+  w.u16(0);            // depth
+  w.u16(0);            // proba_size
+  w.u16(0);            // importance_size
+  const Bytes wire = std::move(w).take();
+  Reader r(wire);
+  EXPECT_FALSE(DecisionTree::deserialize(r).has_value());
+}
+
 TEST(SerializeCorruption, LeafNarrowerThanNumClassesRejected) {
   // A leaf whose distribution is shorter than num_classes used to load:
   // RandomForest::predict_proba then read past the leaf vector while

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "crypto/aes.hpp"
 #include "quic/initial.hpp"
 #include "quic/transport_params.hpp"
 #include "quic/varint.hpp"
@@ -189,8 +192,8 @@ TEST(Initial, SingleDatagramRoundTrip) {
 
   const auto packet = unprotect_client_initial(datagrams[0]);
   ASSERT_TRUE(packet.has_value());
-  EXPECT_EQ(packet->dcid, dcid);
-  EXPECT_EQ(packet->scid, scid);
+  EXPECT_TRUE(std::ranges::equal(packet->dcid, dcid));
+  EXPECT_TRUE(std::ranges::equal(packet->scid, scid));
   EXPECT_EQ(packet->packet_number, 0u);
 
   CryptoReassembler reasm;
@@ -301,6 +304,181 @@ TEST(Initial, KeysMatchRfc9001AppendixA) {
   EXPECT_EQ(to_hex(keys.hp), "9f50449e04a0e810283a1e9933adedd2");
 }
 
+TEST(Initial, RoundTripAcrossAesKernels) {
+  tls::ClientHello chlo = make_quic_chlo();
+  chlo.add_padding_to(2400);
+  const Bytes crypto_stream = chlo.serialize_handshake();
+  const Bytes dcid = from_hex("0303030303030303");
+  std::vector<crypto::AesKernel> kernels;
+  for (const auto k : {crypto::AesKernel::Portable, crypto::AesKernel::AesNi})
+    if (crypto::aes_kernel_supported(k)) kernels.push_back(k);
+  const auto reference = build_client_initial_flight(
+      dcid, {}, crypto_stream, 0, kMinInitialDatagram, crypto::AesKernel::Portable);
+  for (const auto sealer : kernels) {
+    const auto flight =
+        build_client_initial_flight(dcid, {}, crypto_stream, 0, kMinInitialDatagram, sealer);
+    EXPECT_EQ(flight, reference);
+    for (const auto opener : kernels) {
+      CryptoReassembler reasm;
+      for (const auto& dg : flight) {
+        const auto packet = unprotect_client_initial(dg, opener);
+        ASSERT_TRUE(packet.has_value());
+        reasm.add(*packet);
+      }
+      EXPECT_TRUE(std::equal(crypto_stream.begin(), crypto_stream.end(),
+                             reasm.contiguous_prefix().begin()));
+    }
+  }
+}
+
+TEST(Initial, UnprotectorMatchesOneShotAcrossDcids) {
+  tls::ClientHello chlo = make_quic_chlo();
+  chlo.add_padding_to(2400);
+  const Bytes crypto_stream = chlo.serialize_handshake();
+  const auto a = build_client_initial_flight(from_hex("0a0a0a0a0a0a0a0a"), {}, crypto_stream);
+  const auto b = build_client_initial_flight(from_hex("0b0b0b0b"), {}, crypto_stream);
+  ASSERT_GE(a.size(), 2u);
+  // Same DCID twice (keys reused), then a new DCID, then back.
+  const std::vector<const Bytes*> order = {&a[0], &a[1], &b[0], &a[0], &b[1]};
+  InitialUnprotector unprotector;
+  for (const Bytes* dg : order) {
+    const auto one_shot = unprotect_client_initial(*dg);
+    const auto cached = unprotector.unprotect(*dg);
+    ASSERT_TRUE(one_shot.has_value());
+    ASSERT_TRUE(cached.has_value());
+    EXPECT_EQ(cached->cleartext, one_shot->cleartext);
+    EXPECT_EQ(cached->packet_number, one_shot->packet_number);
+  }
+  Bytes forged = a[0];
+  forged[700] ^= 0x01;
+  EXPECT_FALSE(unprotector.unprotect(forged).has_value());
+  EXPECT_TRUE(unprotector.unprotect(a[1]).has_value());
+}
+
+TEST(Initial, ReassemblerKeepsFirstBytesAndWaitsOutGaps) {
+  const Bytes stream = from_hex("00112233445566778899aabbccddeeff");
+  const Bytes other(16, 0xee);
+  InitialPacket p;
+  // Past a gap, then the start, then a conflicting rewrite of bytes 2..5
+  // of which 2..3 are already held.
+  p.crypto_fragments = {{10, ByteView{stream}.subspan(10)},
+                        {0, ByteView{stream}.first(4)},
+                        {2, ByteView{other}.first(4)}};
+  CryptoReassembler reasm;
+  reasm.add(p);
+  EXPECT_EQ(reasm.contiguous_prefix(), from_hex("00112233eeee"));
+  // Closing the gap releases the waiting fragment.
+  InitialPacket q;
+  q.crypto_fragments = {{6, ByteView{stream}.subspan(6, 4)}};
+  reasm.add(q);
+  EXPECT_EQ(reasm.contiguous_prefix(), from_hex("00112233eeee66778899aabbccddeeff"));
+}
+
+// ---- Header checks that run before any key is derived (RFC 9000) ----
+
+// Seals one client Initial exactly as a client would, with any header
+// fields and at any size, so each check below is shown rejecting a datagram
+// whose protection is otherwise valid. The token length is a 2-byte varint
+// and the Length field starts 2 bytes after the token.
+Bytes seal_initial(ByteView dcid, ByteView scid, ByteView token,
+                   std::size_t datagram_size) {
+  Writer hdr;
+  hdr.u8(0xc3);  // long header, Initial, 4-byte packet number
+  hdr.u32(kQuicVersion1);
+  hdr.u8(static_cast<std::uint8_t>(dcid.size()));
+  hdr.raw(dcid);
+  hdr.u8(static_cast<std::uint8_t>(scid.size()));
+  hdr.raw(scid);
+  put_varint_forced(hdr, token.size(), 2);
+  hdr.raw(token);
+  const std::size_t payload_size = datagram_size - hdr.size() - 2 - 4 - 16;
+
+  const Bytes crypto_stream = make_quic_chlo().serialize_handshake();
+  Writer plain;
+  plain.u8(0x06);  // CRYPTO
+  put_varint(plain, 0);
+  put_varint(plain, crypto_stream.size());
+  plain.raw(crypto_stream);
+  EXPECT_LE(plain.size(), payload_size);
+  while (plain.size() < payload_size) plain.u8(0x00);  // PADDING
+
+  put_varint_forced(hdr, 4 + plain.size() + 16, 2);  // Length
+  const std::size_t pn_offset = hdr.size();
+  hdr.u32(0);  // packet number 0: the nonce is the IV itself
+
+  const InitialKeys keys = derive_client_initial_keys(dcid);
+  Bytes packet = hdr.data();
+  const Bytes sealed = crypto::Aes128Gcm(keys.key).seal(keys.iv, packet, plain.data());
+  packet.insert(packet.end(), sealed.begin(), sealed.end());
+  std::array<std::uint8_t, 16> sample;
+  std::copy_n(packet.begin() + static_cast<std::ptrdiff_t>(pn_offset + 4), 16,
+              sample.begin());
+  const auto mask = crypto::Aes128(keys.hp).encrypt_block(sample);
+  packet[0] ^= mask[0] & 0x0f;
+  for (std::size_t i = 0; i < 4; ++i) packet[pn_offset + i] ^= mask[i + 1];
+  EXPECT_EQ(packet.size(), datagram_size);
+  return packet;
+}
+
+const Bytes kDcid = from_hex("8394c8f03e515708");
+const Bytes kScid = from_hex("aabbccdd");
+
+TEST(InitialHeaderChecks, HandSealedInitialDecrypts) {
+  const Bytes token(32, 0x5a);
+  const Bytes dg = seal_initial(kDcid, kScid, token, 1250);
+  const auto packet = unprotect_client_initial(dg);
+  ASSERT_TRUE(packet.has_value());
+  EXPECT_TRUE(std::ranges::equal(packet->dcid, kDcid));
+  EXPECT_TRUE(std::ranges::equal(packet->scid, kScid));
+  EXPECT_TRUE(std::ranges::equal(packet->token, token));
+  ASSERT_EQ(packet->crypto_fragments.size(), 1u);
+  EXPECT_TRUE(std::ranges::equal(packet->crypto_fragments[0].second,
+                                 make_quic_chlo().serialize_handshake()));
+}
+
+TEST(InitialHeaderChecks, RejectsDatagramUnder1200Bytes) {
+  EXPECT_TRUE(unprotect_client_initial(seal_initial(kDcid, kScid, {}, 1200)).has_value());
+  EXPECT_FALSE(unprotect_client_initial(seal_initial(kDcid, kScid, {}, 1199)).has_value());
+  EXPECT_FALSE(unprotect_client_initial(seal_initial(kDcid, kScid, {}, 700)).has_value());
+}
+
+TEST(InitialHeaderChecks, RejectsConnectionIdOver20Bytes) {
+  const Bytes cid20(20, 0x20), cid21(21, 0x21);
+  EXPECT_TRUE(unprotect_client_initial(seal_initial(cid20, cid20, {}, 1200)).has_value());
+  EXPECT_FALSE(unprotect_client_initial(seal_initial(cid21, kScid, {}, 1200)).has_value());
+  EXPECT_FALSE(unprotect_client_initial(seal_initial(kDcid, cid21, {}, 1200)).has_value());
+  InitialUnprotector unprotector;
+  EXPECT_FALSE(unprotector.unprotect(seal_initial(cid21, kScid, {}, 1200)).has_value());
+}
+
+TEST(InitialHeaderChecks, RejectsTokenLengthPastDatagram) {
+  Bytes dg = seal_initial(kDcid, kScid, Bytes(8, 0x01), 1200);
+  const std::size_t token_len_at = 1 + 4 + 1 + kDcid.size() + 1 + kScid.size();
+  ASSERT_EQ(dg[token_len_at], 0x40);
+  ASSERT_EQ(dg[token_len_at + 1], 8);
+  dg[token_len_at] = 0x7f;  // 2-byte varint 0x3fff: past the datagram
+  dg[token_len_at + 1] = 0xff;
+  EXPECT_FALSE(unprotect_client_initial(dg).has_value());
+}
+
+TEST(InitialHeaderChecks, RejectsLengthFieldInconsistentWithDatagram) {
+  const Bytes dg = seal_initial(kDcid, kScid, {}, 1200);
+  const std::size_t length_at = 1 + 4 + 1 + kDcid.size() + 1 + kScid.size() + 2;
+  const std::size_t length = (dg[length_at] & 0x3f) << 8 | dg[length_at + 1];
+  ASSERT_EQ(length_at + 2 + length, dg.size());
+  const auto with_length = [&](std::size_t v) {
+    Bytes out = dg;
+    out[length_at] = static_cast<std::uint8_t>(0x40 | v >> 8);
+    out[length_at + 1] = static_cast<std::uint8_t>(v);
+    return out;
+  };
+  EXPECT_TRUE(unprotect_client_initial(with_length(length)).has_value());
+  // One byte past the datagram.
+  EXPECT_FALSE(unprotect_client_initial(with_length(length + 1)).has_value());
+  // Too short for a 4-byte packet number and the tag (and the sample).
+  EXPECT_FALSE(unprotect_client_initial(with_length(19)).has_value());
+}
+
 class InitialFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(InitialFuzz, RandomDcidsAndSizesRoundTrip) {
@@ -319,8 +497,8 @@ TEST_P(InitialFuzz, RandomDcidsAndSizesRoundTrip) {
   for (const auto& dg : datagrams) {
     const auto packet = unprotect_client_initial(dg);
     ASSERT_TRUE(packet.has_value());
-    EXPECT_EQ(packet->dcid, dcid);
-    EXPECT_EQ(packet->scid, scid);
+    EXPECT_TRUE(std::ranges::equal(packet->dcid, dcid));
+    EXPECT_TRUE(std::ranges::equal(packet->scid, scid));
     reasm.add(*packet);
   }
   const Bytes assembled = reasm.contiguous_prefix();
