@@ -30,6 +30,7 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/sharded_pipeline.hpp"
 #include "quic/initial.hpp"
+#include "util/stats.hpp"
 
 // ---- counting allocator -------------------------------------------------
 // Global operator new/delete override for this binary only: counts heap
@@ -466,7 +467,8 @@ struct UnprotectResult {
   int iterations = 0;
   struct Point {
     crypto::AesKernel kernel;
-    std::vector<double> us;  // per repetition, sorted
+    std::vector<double> us;  // per repetition
+    BoxSummary box;
   };
   std::vector<Point> points;
 };
@@ -481,7 +483,7 @@ UnprotectResult run_unprotect_kernels() {
   out.repetitions = 15;
   out.iterations = 2000;
   for (const auto k : {crypto::AesKernel::Portable, crypto::AesKernel::AesNi})
-    if (crypto::aes_kernel_supported(k)) out.points.push_back({k, {}});
+    if (crypto::aes_kernel_supported(k)) out.points.push_back({k, {}, {}});
   for (int rep = 0; rep < out.repetitions; ++rep) {
     for (auto& point : out.points) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -493,15 +495,8 @@ UnprotectResult run_unprotect_kernels() {
       point.us.push_back(dt.count() / out.iterations);
     }
   }
-  for (auto& point : out.points) std::sort(point.us.begin(), point.us.end());
+  for (auto& point : out.points) point.box = box_summary(point.us);
   return out;
-}
-
-double sorted_quantile(const std::vector<double>& v, double q) {
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
 struct EncodeResult {
@@ -689,13 +684,11 @@ void write_json(const SingleThreadResult& single, const ClassifyResult& cls,
        << "    \"kernels\": [\n";
   for (std::size_t i = 0; i < unprotect.points.size(); ++i) {
     const auto& p = unprotect.points[i];
-    const double median = sorted_quantile(p.us, 0.5);
     json << "      {\"kernel\": \"" << kernel_name(p.kernel)
-         << "\", \"median_us\": " << median
-         << ", \"p25_us\": " << sorted_quantile(p.us, 0.25)
-         << ", \"p75_us\": " << sorted_quantile(p.us, 0.75)
-         << ", \"min_us\": " << p.us.front() << ", \"max_us\": " << p.us.back()
-         << ", \"speedup_vs_bit_serial\": " << BitSerialBaseline::kMedianUs / median
+         << "\", \"median_us\": " << p.box.median << ", \"p25_us\": " << p.box.q1
+         << ", \"p75_us\": " << p.box.q3 << ", \"min_us\": " << p.box.min
+         << ", \"max_us\": " << p.box.max
+         << ", \"speedup_vs_bit_serial\": " << BitSerialBaseline::kMedianUs / p.box.median
          << "}" << (i + 1 < unprotect.points.size() ? "," : "") << "\n";
   }
   json << "    ]\n  }\n}\n";
@@ -811,14 +804,11 @@ void report() {
   unprotect_table.add_row({"bit-serial (replaced; recorded)",
                            TextTable::num(BitSerialBaseline::kMedianUs, 1), "-",
                            "1.00x"});
-  for (const auto& p : unprotect.points) {
-    const double median = sorted_quantile(p.us, 0.5);
+  for (const auto& p : unprotect.points)
     unprotect_table.add_row(
-        {kernel_name(p.kernel), TextTable::num(median, 2),
-         TextTable::num(sorted_quantile(p.us, 0.25), 2) + "-" +
-             TextTable::num(sorted_quantile(p.us, 0.75), 2),
-         TextTable::num(BitSerialBaseline::kMedianUs / median, 0) + "x"});
-  }
+        {kernel_name(p.kernel), TextTable::num(p.box.median, 2),
+         TextTable::num(p.box.q1, 2) + "-" + TextTable::num(p.box.q3, 2),
+         TextTable::num(BitSerialBaseline::kMedianUs / p.box.median, 0) + "x"});
   unprotect_table.print(std::cout);
 
   write_json(single, cls, batch, scaling, stage_latency, unprotect);
