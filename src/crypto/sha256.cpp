@@ -96,6 +96,7 @@ __attribute__((target("sha,ssse3,sse4.1"))) void compress_shani(
 
   // w[g % 4] holds schedule words 4g..4g+3 of group g.
   __m128i w[4];
+#pragma GCC unroll 16
   for (int g = 0; g < 16; ++g) {
     if (g < 4) {
       w[g] = _mm_shuffle_epi8(
