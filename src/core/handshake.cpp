@@ -58,9 +58,8 @@ bool HandshakeExtractor::feed_quic(const net::DecodedPacket& packet) {
   if (!quic::looks_like_initial(packet.payload)) return false;
   // Only the client's Initials decrypt with the DCID-derived client keys;
   // server packets fail authentication and are skipped, so no explicit
-  // direction tracking is needed. Later Initials with the same DCID reuse
-  // the keys derived for the first.
-  const auto initial = quic_.unprotect(packet.payload);
+  // direction tracking is needed.
+  const auto initial = quic::unprotect_client_initial(packet.payload);
   if (!initial) return false;
 
   if (!seen_initial_) {
@@ -76,8 +75,7 @@ bool HandshakeExtractor::feed_quic(const net::DecodedPacket& packet) {
   if (stream.size() < 4) return true;
   if (auto chlo = tls::ClientHello::parse_handshake(stream)) {
     finish_with_chlo(std::move(*chlo));
-    // The parsed hello owns its bytes; drop the per-flow decrypt state.
-    quic_ = quic::InitialUnprotector{};
+    // The parsed hello owns its bytes; drop the reassembly buffers.
     reassembler_ = quic::CryptoReassembler{};
   }
   return true;

@@ -66,7 +66,6 @@ class HandshakeExtractor {
   bool seen_initial_ = false;
   bool complete_ = false;
   bool failed_ = false;
-  quic::InitialUnprotector quic_;  // keys of the flow's DCID, derived once
   quic::CryptoReassembler reassembler_;
   Bytes tcp_stream_;  // client-to-server TCP payload bytes accumulated
   std::optional<net::IpAddr> client_addr_;

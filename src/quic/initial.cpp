@@ -85,16 +85,11 @@ std::optional<InitialHeader> parse_header(ByteView datagram) {
   return h;
 }
 
-}  // namespace
-
+/// Expanded AEAD and header-protection ciphers of one DCID.
 struct InitialCipher {
-  InitialCipher(ByteView dcid_in, crypto::AesKernel kernel)
-      : InitialCipher(dcid_in, derive_client_initial_keys(dcid_in), kernel) {}
-
-  bool matches(ByteView other) const {
-    return other.size() == dcid_len &&
-           std::equal(other.begin(), other.end(), dcid.begin());
-  }
+  explicit InitialCipher(ByteView dcid,
+                         crypto::AesKernel kernel = crypto::AesKernel::Auto)
+      : InitialCipher(derive_client_initial_keys(dcid), kernel) {}
 
   /// Header unprotection, AEAD open and frame parse of one datagram whose
   /// header passed parse_header.
@@ -104,19 +99,10 @@ struct InitialCipher {
   crypto::Aes128Gcm aead;
   crypto::Aes128 hp;
   std::array<std::uint8_t, 12> iv;
-  std::array<std::uint8_t, kMaxConnectionIdLen> dcid{};
-  std::size_t dcid_len = 0;
 
  private:
-  InitialCipher(ByteView dcid_in, const InitialKeys& keys,
-                crypto::AesKernel kernel)
-      : aead(keys.key, kernel),
-        hp(keys.hp, kernel),
-        iv(keys.iv),
-        // Only the builder passes DCIDs over 20 bytes, and it never matches.
-        dcid_len(std::min(dcid_in.size(), kMaxConnectionIdLen)) {
-    std::copy_n(dcid_in.begin(), dcid_len, dcid.begin());
-  }
+  InitialCipher(const InitialKeys& keys, crypto::AesKernel kernel)
+      : aead(keys.key, kernel), hp(keys.hp, kernel), iv(keys.iv) {}
 };
 
 std::optional<InitialPacket> InitialCipher::open(ByteView datagram,
@@ -187,6 +173,8 @@ std::optional<InitialPacket> InitialCipher::open(ByteView datagram,
   return out;
 }
 
+}  // namespace
+
 InitialKeys derive_client_initial_keys(ByteView dcid) {
   // HMAC keyed with the constant salt: its pad blocks are absorbed once.
   static const crypto::HmacSha256 salt{ByteView{kInitialSaltV1}};
@@ -204,9 +192,8 @@ InitialKeys derive_client_initial_keys(ByteView dcid) {
 
 std::vector<Bytes> build_client_initial_flight(
     ByteView dcid, ByteView scid, ByteView crypto_stream,
-    std::uint64_t first_packet_number, std::size_t datagram_size,
-    crypto::AesKernel kernel) {
-  const InitialCipher cipher(dcid, kernel);
+    std::uint64_t first_packet_number, std::size_t datagram_size) {
+  const InitialCipher cipher(dcid);
 
   const std::size_t target = std::max(datagram_size, kMinInitialDatagram);
   // Per-datagram budget for CRYPTO payload. Header:
@@ -289,45 +276,24 @@ std::optional<InitialPacket> unprotect_client_initial(ByteView datagram,
   return InitialCipher(header->dcid, kernel).open(datagram, *header);
 }
 
-InitialUnprotector::InitialUnprotector(crypto::AesKernel kernel)
-    : kernel_(kernel) {}
-InitialUnprotector::~InitialUnprotector() = default;
-InitialUnprotector::InitialUnprotector(InitialUnprotector&&) noexcept = default;
-InitialUnprotector& InitialUnprotector::operator=(InitialUnprotector&&) noexcept =
-    default;
-
-std::optional<InitialPacket> InitialUnprotector::unprotect(ByteView datagram) {
-  const auto header = parse_header(datagram);
-  if (!header) return std::nullopt;
-  if (!cipher_)
-    cipher_ = std::make_unique<InitialCipher>(header->dcid, kernel_);
-  else if (!cipher_->matches(header->dcid))
-    *cipher_ = InitialCipher(header->dcid, kernel_);
-  return cipher_->open(datagram, *header);
-}
-
-void CryptoReassembler::extend(std::uint64_t offset, ByteView data) {
-  if (offset + data.size() <= prefix_.size()) return;  // fully duplicate
-  const std::size_t skip = prefix_.size() - static_cast<std::size_t>(offset);
-  prefix_.insert(prefix_.end(), data.begin() + static_cast<std::ptrdiff_t>(skip),
-                 data.end());
-}
-
 void CryptoReassembler::add(const InitialPacket& packet) {
+  bool rebuild = false;
   for (const auto& [off, data] : packet.crypto_fragments) {
-    if (off > prefix_.size())
-      pending_.emplace_back(off, Bytes(data.begin(), data.end()));
-    else
-      extend(off, data);
+    rebuild |= off < prefix_.size();
+    const auto at = std::upper_bound(
+        fragments_.begin(), fragments_.end(), off,
+        [](std::uint64_t o, const auto& f) { return o < f.first; });
+    fragments_.emplace(at, off, Bytes(data.begin(), data.end()));
   }
-  // Drain waiting fragments the prefix now reaches, lowest offset first.
-  while (!pending_.empty()) {
-    const auto next = std::min_element(
-        pending_.begin(), pending_.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (next->first > prefix_.size()) break;  // still a gap
-    extend(next->first, next->second);
-    pending_.erase(next);
+  // Fold the fragments in offset order. Without a rebuild every fragment
+  // already folded ends at or before the prefix's end and is skipped.
+  if (rebuild) prefix_.clear();
+  for (const auto& [off, data] : fragments_) {
+    if (off > prefix_.size()) break;                    // gap
+    if (off + data.size() <= prefix_.size()) continue;  // fully held
+    const std::size_t skip = prefix_.size() - static_cast<std::size_t>(off);
+    prefix_.insert(prefix_.end(), data.begin() + static_cast<std::ptrdiff_t>(skip),
+                   data.end());
   }
 }
 

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -76,8 +75,7 @@ InitialKeys derive_client_initial_keys(ByteView dcid);
 std::vector<Bytes> build_client_initial_flight(
     ByteView dcid, ByteView scid, ByteView crypto_stream,
     std::uint64_t first_packet_number = 0,
-    std::size_t datagram_size = kMinInitialDatagram,
-    crypto::AesKernel kernel = crypto::AesKernel::Auto);
+    std::size_t datagram_size = kMinInitialDatagram);
 
 /// Removes protection from one client Initial datagram. Returns nullopt if
 /// the datagram is not a v1 Initial, fails a header check that needs no key
@@ -88,45 +86,24 @@ std::vector<Bytes> build_client_initial_flight(
 std::optional<InitialPacket> unprotect_client_initial(
     ByteView datagram, crypto::AesKernel kernel = crypto::AesKernel::Auto);
 
-/// Expanded AEAD and header-protection ciphers of one DCID (initial.cpp).
-struct InitialCipher;
-
-/// Per-connection form of unprotect_client_initial: keeps the expanded
-/// ciphers of the last DCID it derived keys for, so a connection's later
-/// Initials skip key derivation and key expansion. The cipher state (about
-/// 700 B) is allocated on first use.
-class InitialUnprotector {
- public:
-  explicit InitialUnprotector(crypto::AesKernel kernel = crypto::AesKernel::Auto);
-  ~InitialUnprotector();
-  InitialUnprotector(InitialUnprotector&&) noexcept;
-  InitialUnprotector& operator=(InitialUnprotector&&) noexcept;
-
-  std::optional<InitialPacket> unprotect(ByteView datagram);
-
- private:
-  std::unique_ptr<InitialCipher> cipher_;
-  crypto::AesKernel kernel_;
-};
-
 /// Convenience for observers: feeds datagrams of one flow in any order and
 /// reassembles the CRYPTO stream; callers typically stop as soon as a full
 /// ClientHello parses.
 class CryptoReassembler {
  public:
-  /// Copies the packet's CRYPTO bytes: those extending the contiguous
-  /// prefix are appended at once, fragments past a gap wait until it
-  /// closes. Where fragments overlap, the bytes that arrived first win.
+  /// Copies the packet's CRYPTO fragments and updates the contiguous
+  /// prefix. Where fragments overlap, the one with the lowest stream offset
+  /// wins (of equal offsets, the first to arrive): the prefix is only
+  /// rebuilt when a fragment lands below its end, otherwise new bytes are
+  /// appended.
   void add(const InitialPacket& packet);
   /// Contiguous prefix of the CRYPTO stream assembled so far (from offset
   /// 0 up to the first gap).
   const Bytes& contiguous_prefix() const { return prefix_; }
 
  private:
-  void extend(std::uint64_t offset, ByteView data);
-
+  std::vector<std::pair<std::uint64_t, Bytes>> fragments_;  // by offset
   Bytes prefix_;
-  std::vector<std::pair<std::uint64_t, Bytes>> pending_;  // past a gap
 };
 
 /// True if the datagram looks like a QUIC v1 long-header Initial (cheap

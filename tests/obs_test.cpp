@@ -517,11 +517,14 @@ TEST_F(ObsPipelineTest, ShardedScrapeProvesIdentityAndStageLatencies) {
 
   pipeline::ShardedPipelineOptions options;
   options.n_shards = 8;
-  options.queue_capacity = 64;
+  // Payload packets shed at once into rings far smaller than a 32-packet
+  // dispatch batch, so the run sheds even when every worker keeps pace;
+  // handshake packets keep their default grace, so flows still reach the
+  // flow-table bound and classification on a loaded host.
+  options.queue_capacity = 4;
   options.flow_table.max_flows = 256;
   options.overload = pipeline::ShardedPipelineOptions::Overload::Shed;
   options.payload_grace_us = 0;
-  options.handshake_grace_us = 0;
   options.obs.profile_stages = true;
   options.obs.trace_sample_n = 8;
   pipeline::ShardedPipeline sharded(bank_, options);
