@@ -250,11 +250,9 @@ void report() {
   obs::ObsConfig profile_config;
   profile_config.profile_stages = true;
   obs::ObsConfig trace_config;
-  trace_config.trace_sample_n = 64;
-  trace_config.span_sample_n = 64;  // causal spans ride the same 1-in-N
+  trace_config.span_sample_n = 64;  // spans + lifecycle instants, 1-in-64
   obs::ObsConfig all_config;
   all_config.profile_stages = true;
-  all_config.trace_sample_n = 64;
   all_config.span_sample_n = 64;
   const std::vector<Lane> lanes = {
       {"base", "registry counters only (production default)", {}, false,
@@ -263,15 +261,15 @@ void report() {
        3.0},
       {"profile", "+ stage histograms (TSC ticks, packet stages 1-in-4)",
        profile_config, false, false, 5.0},
-      {"trace", "+ 1-in-64 flow tracing + causal spans", trace_config, false,
-       false, 3.0},
+      {"trace", "+ 1-in-64 flow tracing (spans + lifecycle instants)",
+       trace_config, false, false, 3.0},
       {"http", "+ embedded scrape server, live /metrics scraper", {}, false,
        true, 3.0},
       // No individual budget for the everything-on lane: on a single-core
       // host the live scraper thread serializes against the pipeline, so
       // its cost is the sum of the parts plus scheduling pressure.
-      {"all", "exporter + profiling + tracing + spans + http", all_config,
-       true, true, 0.0},
+      {"all", "exporter + profiling + tracing + http", all_config, true,
+       true, 0.0},
   };
 
   std::vector<LaneResult> results(lanes.size());

@@ -12,9 +12,9 @@
 #include <map>
 #include <string>
 
+#include "capture/export.hpp"
 #include "core/encoder.hpp"
 #include "core/handshake.hpp"
-#include "net/pcap.hpp"
 #include "synth/dataset.hpp"
 #include "util/table.hpp"
 
@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   }
   for (const auto& [key, packets] : pcaps) {
     const auto path = out_dir / (which + "_" + key + ".pcap");
-    if (!net::write_pcap_file(path.string(), packets)) {
+    if (!capture::export_pcap_file(path.string(), packets,
+                                   {.link_type = capture::LinkType::Raw})) {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
       return 1;
     }

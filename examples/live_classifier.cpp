@@ -25,9 +25,11 @@
 // Introspection plane (DESIGN.md §5k), available in every mode:
 //   --http-port <p>   serve /metrics /healthz /snapshot /trace on
 //                     127.0.0.1:<p> while the run is live (curl it)
-//   --trace-out <f>   trace every flow's causal spans and write Chrome
-//                     trace_event JSON to <f> at the end (load the file in
-//                     chrome://tracing or Perfetto)
+//   --trace-out <f>   trace every flow's causal spans and lifecycle
+//                     instants and write Chrome trace_event JSON to <f> at
+//                     the end (load the file in chrome://tracing or
+//                     Perfetto); synth mode traces every flow regardless,
+//                     so /trace shows it without this flag
 // A crash flight recorder is always armed: a fatal signal, canary rollback
 // or artifact quarantine dumps a vpscope-postmortem-*.json black box.
 #include <atomic>
@@ -253,7 +255,7 @@ int run_synth(int n_flows, const char* prometheus_path) {
   const auto bank = train_bank();
   obs::ObsConfig obs_config;
   obs_config.profile_stages = true;
-  obs_config.trace_sample_n = 1;  // console tool: trace every flow
+  obs_config.span_sample_n = 1;  // console tool: trace every flow
   apply_introspection_config(obs_config);
   pipeline::VideoFlowPipeline pipe(&bank, {}, obs_config);
   const auto http = start_http(pipe.observability());

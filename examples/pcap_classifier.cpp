@@ -1,14 +1,14 @@
 // pcap_classifier: offline mode — classify every video flow in a PCAP file
-// (LINKTYPE_RAW, e.g. produced by dataset_tool or any capture tap) and
-// print per-session records plus summary statistics. The same pipeline the
-// live deployment runs, pointed at a file.
+// (Ethernet or LINKTYPE_RAW, e.g. produced by dataset_tool or any capture
+// tap) and print per-session records plus summary statistics. The same
+// pipeline the live deployment runs, pointed at a file.
 //
 // Usage: pcap_classifier <capture.pcap> [model_scale]
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 
-#include "net/pcap.hpp"
+#include "capture/replay.hpp"
 #include "pipeline/pipeline.hpp"
 #include "synth/dataset.hpp"
 
@@ -21,13 +21,14 @@ int main(int argc, char** argv) {
   }
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
 
-  const auto packets = net::read_pcap_file(argv[1]);
-  if (!packets) {
-    std::fprintf(stderr, "cannot read %s (classic pcap, linktype RAW)\n",
+  const auto image = capture::read_file_bytes(argv[1]);
+  if (!image || !capture::PcapReader::open(*image)) {
+    std::fprintf(stderr,
+                 "cannot read %s (classic pcap, Ethernet or raw IP)\n",
                  argv[1]);
     return 1;
   }
-  std::printf("%zu packets loaded from %s\n", packets->size(), argv[1]);
+  std::printf("%zu bytes loaded from %s\n", image->size(), argv[1]);
 
   std::puts("training classifier bank...");
   pipeline::ClassifierBank bank;
@@ -51,11 +52,17 @@ int main(int argc, char** argv) {
                 static_cast<double>(record.counters.bytes_down) / 1e6);
   });
 
-  for (const auto& packet : *packets) pipe.on_packet(packet);
-  pipe.flush_all();
+  const capture::ReplayStats replay = capture::replay_into(*image, pipe);
+  std::printf("%llu packets replayed\n",
+              static_cast<unsigned long long>(replay.frames));
 
   std::printf("\n%d video sessions; platform mix:\n", sessions);
   for (const auto& [label, count] : by_platform)
     std::printf("  %-24s %d\n", label.c_str(), count);
+  if (!replay.ok) {
+    std::fprintf(stderr, "%s: replay stopped early: %s\n", argv[1],
+                 replay.error.c_str());
+    return 1;
+  }
   return 0;
 }

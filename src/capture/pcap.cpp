@@ -2,11 +2,8 @@
 
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
+#include <iterator>
 
-#include "capture/frame.hpp"
-#include "net/pcap.hpp"
 
 namespace vpscope::capture {
 
@@ -180,50 +177,3 @@ std::optional<Bytes> read_file_bytes(const std::string& path) {
 }
 
 }  // namespace vpscope::capture
-
-// ---------------------------------------------------------------------------
-// Legacy whole-file API of net/pcap.hpp, now thin wrappers over the engine
-// above so exactly one pcap parser exists in the tree.
-namespace vpscope::net {
-
-bool write_pcap(std::ostream& os, const std::vector<Packet>& packets) {
-  capture::PcapWriter writer(capture::LinkType::Raw);
-  for (const Packet& p : packets) writer.add(p.timestamp_us, p.data);
-  const Bytes& blob = writer.data();
-  os.write(reinterpret_cast<const char*>(blob.data()),
-           static_cast<std::streamsize>(blob.size()));
-  return static_cast<bool>(os);
-}
-
-bool write_pcap_file(const std::string& path,
-                     const std::vector<Packet>& packets) {
-  std::ofstream f(path, std::ios::binary);
-  return f && write_pcap(f, packets);
-}
-
-std::optional<std::vector<Packet>> read_pcap(std::istream& is) {
-  const Bytes all{std::istreambuf_iterator<char>(is),
-                  std::istreambuf_iterator<char>()};
-  auto reader = capture::PcapReader::open(all);
-  if (!reader) return std::nullopt;
-  std::vector<Packet> packets;
-  while (const auto frame = reader->next()) {
-    const auto datagram =
-        capture::ip_datagram_of(frame->bytes, reader->info().link_type);
-    if (!datagram) continue;  // well-formed non-IP frame (ARP etc.): skip
-    Packet p;
-    p.timestamp_us = frame->timestamp_us;
-    p.data.assign(datagram->begin(), datagram->end());
-    packets.push_back(std::move(p));
-  }
-  if (reader->error()) return std::nullopt;
-  return packets;
-}
-
-std::optional<std::vector<Packet>> read_pcap_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return std::nullopt;
-  return read_pcap(f);
-}
-
-}  // namespace vpscope::net

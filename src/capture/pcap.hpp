@@ -10,9 +10,9 @@
 // buffer (zero per-record allocation, no allocation bombs), and malformed
 // input is a clean error — never a throw, never an out-of-bounds read.
 //
-// The legacy whole-file helpers in net/pcap.hpp (read_pcap / write_pcap)
-// are thin wrappers over this engine, implemented here so there is exactly
-// one pcap parser in the tree.
+// This is the one pcap API in the tree: whole-file reads go through
+// ReplayDriver (replay.hpp) or a PcapReader walk with ip_datagram_of, and
+// writes through PcapWriter or export_pcap (export.hpp).
 #pragma once
 
 #include <cstdint>

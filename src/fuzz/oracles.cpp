@@ -1,13 +1,12 @@
 #include "fuzz/oracles.hpp"
 
 #include <exception>
-#include <sstream>
 
 #include "capture/afpacket.hpp"
-#include "capture/pcap.hpp"
+#include "capture/export.hpp"
+#include "capture/replay.hpp"
 #include "core/handshake.hpp"
 #include "core/interner.hpp"
-#include "net/pcap.hpp"
 #include "quic/initial.hpp"
 #include "quic/transport_params.hpp"
 
@@ -67,6 +66,16 @@ OracleResult check_parsed(const tls::ClientHello& chlo, ByteView mutant,
   if (!raw_attrs_equal(first, second))
     result.failure = describe("attrs: RawAttrs differ across re-parse", mutant);
   return result;
+}
+
+/// Every IP datagram of a pcap image, or nullopt when the reader rejects
+/// the image (bad global header or a malformed record).
+std::optional<std::vector<net::Packet>> read_packets(ByteView blob) {
+  std::vector<net::Packet> packets;
+  const capture::ReplayStats stats = capture::ReplayDriver().replay(
+      blob, [&packets](net::Packet&& p) { packets.push_back(std::move(p)); });
+  if (!stats.ok) return std::nullopt;
+  return packets;
 }
 
 }  // namespace
@@ -161,16 +170,9 @@ OracleResult check_initial_flight(const std::vector<Bytes>& datagrams) {
 
 OracleResult check_pcap_blob(const Bytes& blob) {
   try {
-    // Streaming surface: the PcapReader walk itself must neither throw nor
-    // OOB (the latter is the sanitizer lane's job), whatever the bytes.
-    std::uint64_t streamed = 0;
-    if (auto reader = capture::PcapReader::open(blob)) {
-      while (reader->next()) ++streamed;
-    }
-
-    std::istringstream is(
-        std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
-    const auto packets = net::read_pcap(is);
+    // The PcapReader walk itself must neither throw nor OOB (the latter is
+    // the sanitizer lane's job), whatever the bytes.
+    const auto packets = read_packets(blob);
     if (!packets) return {};
     OracleResult result;
     result.accepted = true;
@@ -180,13 +182,9 @@ OracleResult check_pcap_blob(const Bytes& blob) {
     (void)core::extract_handshake(*packets);
     // Fixpoint: an accepted capture re-serialized through the canonical
     // writer must re-read to the identical packet sequence.
-    std::ostringstream os;
-    if (!net::write_pcap(os, *packets))
-      return {.accepted = true,
-              .failure = describe("pcap re-serialization failed", blob)};
-    const std::string round = os.str();
-    std::istringstream is2(round);
-    const auto packets2 = net::read_pcap(is2);
+    const Bytes round =
+        capture::export_pcap(*packets, {.link_type = capture::LinkType::Raw});
+    const auto packets2 = read_packets(round);
     if (!packets2)
       return {.accepted = true,
               .failure = describe("pcap round-trip no longer parses", blob)};

@@ -47,10 +47,10 @@ OracleResult check_transport_params(ByteView body);
 /// the TLS oracles on whatever reassembled.
 OracleResult check_initial_flight(const std::vector<Bytes>& datagrams);
 
-/// A serialized pcap blob through both pcap surfaces: the streaming
-/// capture::PcapReader walk (must not throw/OOB on any input) and the
-/// whole-file net::read_pcap (accepted captures additionally decode,
-/// extract, and survive a write_pcap round trip bit-identically).
+/// A serialized pcap blob through the capture engine: the PcapReader walk
+/// (must not throw/OOB on any input) yields the IP datagrams, and accepted
+/// captures additionally decode, extract, and survive a canonical
+/// export_pcap round trip bit-identically.
 OracleResult check_pcap_blob(const Bytes& blob);
 
 /// A TPACKETv3 block image through capture::TpacketBlockWalker: the walk

@@ -9,12 +9,6 @@ namespace vpscope::obs {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
 void append_i64(std::string& out, std::int64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
@@ -47,8 +41,25 @@ void append_help_type(std::string& out, std::string_view name,
   out += '\n';
 }
 
-/// JSON string escape for metric names/labels (ASCII control chars, quote,
-/// backslash; everything else passes through).
+/// "name" or "name{labels}" as a JSON object key.
+std::string series_key(std::string_view name, std::string_view labels) {
+  std::string key(name);
+  if (!labels.empty()) {
+    key += '{';
+    key += labels;
+    key += '}';
+  }
+  return key;
+}
+
+}  // namespace
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+  out += buf;
+}
+
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
@@ -71,19 +82,6 @@ void append_json_string(std::string& out, std::string_view s) {
   }
   out += '"';
 }
-
-/// "name" or "name{labels}" as a JSON object key.
-std::string series_key(std::string_view name, std::string_view labels) {
-  std::string key(name);
-  if (!labels.empty()) {
-    key += '{';
-    key += labels;
-    key += '}';
-  }
-  return key;
-}
-
-}  // namespace
 
 std::string prometheus_text(const Registry& registry) {
   registry.run_collect_hooks();

@@ -25,6 +25,12 @@ std::string prometheus_text(const Registry& registry);
 /// non-empty buckets for histograms.
 std::string json_text(const Registry& registry);
 
+/// The shared JSON writers every obs document is built from: a decimal
+/// unsigned integer, and a quoted string with quote, backslash and ASCII
+/// control characters escaped (everything else passes through).
+void append_u64(std::string& out, std::uint64_t v);
+void append_json_string(std::string& out, std::string_view s);
+
 /// Minimal structural JSON validator (objects/arrays/strings/numbers/
 /// bool/null, UTF-8 passthrough). Used by tests and the watchdog dump
 /// check; not a general-purpose parser.

@@ -14,35 +14,6 @@ namespace vpscope::obs {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 std::uint64_t wall_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -100,8 +71,8 @@ std::string FlightRecorder::render(std::string_view reason,
   append_u64(out, wall_ms());
   out += ",\"mono_ns\":";
   append_u64(out, tick_now_ns());
-  // Last-N spans, merged and ordered; the flow timeline at the moment of
-  // the event.
+  // Last-N spans and lifecycle instants, merged and ordered; the flow
+  // timeline at the moment of the event.
   out += ",\"spans\":[";
   bool first = true;
   for (const Span& s : obs_->recent_spans(options_.max_spans)) {
@@ -123,15 +94,8 @@ std::string FlightRecorder::render(std::string_view reason,
     append_u64(out, s.dur_ns);
     out += ",\"model_gen\":";
     append_u64(out, s.model_gen);
+    append_instant_detail(out, s);
     out += '}';
-  }
-  out += ']';
-  // Per-shard state: the flow-event ring + registry view the watchdog dump
-  // sink also gets, one document per shard.
-  out += ",\"shards\":[";
-  for (int i = 0; i < obs_->n_shards(); ++i) {
-    if (i != 0) out += ',';
-    out += obs_->dump_shard(i);
   }
   out += "],\"metrics\":";
   out += json_text(obs_->registry());

@@ -1,6 +1,6 @@
 // Crash flight recorder (DESIGN.md §5k): the black box a 4-month unattended
-// deployment needs. A fixed-size window of recent state — last-N spans, the
-// per-shard flow-event rings, a full registry snapshot, caller-supplied app
+// deployment needs. A fixed-size window of recent state — the last-N spans
+// and flow-lifecycle instants, one registry snapshot, caller-supplied app
 // context — is atomically dumped to a timestamped postmortem file when
 // something goes wrong:
 //
@@ -13,9 +13,8 @@
 //                           async-signal-safe, but on a crash path the
 //                           alternative is nothing at all)
 //
-// This unifies and extends the PR-5 set_stuck_dump_sink path: the watchdog
-// still hands the per-shard dump JSON to that sink, and additionally the
-// recorder captures the whole process.
+// It is the watchdog's one postmortem path: a trip records a `stranded`
+// instant naming the shard, then dumps here before the stuck callback runs.
 #pragma once
 
 #include <atomic>
@@ -47,9 +46,10 @@ class FlightRecorder {
   /// status, front-end state). Called at dump time; must be thread-safe.
   void set_context_provider(std::function<std::string()> provider);
 
-  /// Renders the postmortem document (testable without I/O): reason,
-  /// wall/mono timestamps, spans, per-shard flow-event rings, registry
-  /// snapshot, context. Valid JSON by construction.
+  /// Renders the postmortem document (testable without I/O):
+  /// {"reason","detail","wall_ms","mono_ns","spans":[...],"metrics":{...},
+  /// "context"} — spans include lifecycle instants with their detail.
+  /// Valid JSON by construction.
   std::string render(std::string_view reason,
                      std::string_view detail = {}) const;
 

@@ -1,7 +1,5 @@
 #include "obs/http_server.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -30,12 +28,6 @@ bool token_char(char c) {
       (c >= '0' && c <= '9'))
     return true;
   return std::strchr("!#$%&'*+-.^_`|~", c) != nullptr;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
 }
 
 std::string_view status_text(int status) {
@@ -346,8 +338,6 @@ std::string healthz_json(const PipelineObs& obs, std::string_view app_status) {
   append_u64(out, bypassed > 0 ? static_cast<std::uint64_t>(bypassed) : 0);
   out += "},\"tracing\":{\"spans\":";
   out += obs.spans_enabled() ? "true" : "false";
-  out += ",\"flow_events\":";
-  out += obs.ring(0) != nullptr ? "true" : "false";
   out += "},\"app\":";
   out += app_status.empty() ? std::string_view("null") : app_status;
   out += '}';

@@ -82,7 +82,6 @@ VideoFlowPipeline::VideoFlowPipeline(const ClassifierBank* bank,
   // two-slot registry. The sharded front-end replaces this via bind_obs.
   owned_obs_ = std::make_shared<obs::PipelineObs>(1, obs_config);
   obs_ = owned_obs_.get();
-  ring_ = obs_->ring(0);
   span_ring_ = obs_->span_ring(0);
   if (options_.classify_batch > 1 && bank_) batch_.emplace(bank_);
 }
@@ -135,7 +134,6 @@ void VideoFlowPipeline::apply_generation(
 void VideoFlowPipeline::bind_obs(obs::PipelineObs* obs, int slot) {
   obs_ = obs;
   slot_ = slot;
-  ring_ = obs->ring(slot);
   span_ring_ = obs->span_ring(slot);
   owned_obs_.reset();
 }
@@ -166,14 +164,12 @@ PipelineStats VideoFlowPipeline::stats() const {
   return s;
 }
 
-void VideoFlowPipeline::trace_push(obs::TraceEventKind kind,
-                                   std::uint64_t ts_us,
-                                   const FlowState& state) {
-  obs::TraceEvent event;
-  event.ts_us = ts_us;
-  event.flow_hash = state.flow_hash;
-  event.kind = kind;
-  ring_->push(event);
+void VideoFlowPipeline::record_instant(obs::Span instant, std::uint64_t ts_us,
+                                       const FlowState& state) {
+  instant.flow_hash = state.flow_hash;
+  instant.ts_us = ts_us;
+  instant.model_gen = adopted_model_gen_;
+  span_ring_->record_instant(instant);
 }
 
 void VideoFlowPipeline::on_packet(const net::Packet& packet) {
@@ -226,8 +222,8 @@ bool VideoFlowPipeline::admit_flow(FlowMap::iterator it, bool inserted,
     // flows_total was not yet counted for it — the caller counts only after
     // admission succeeds, keeping the counter monotone (every packet of a
     // refused flow retries the insert, and retries are not new flows).
-    if (ring_ && it->second.traced)
-      trace_push(obs::TraceEventKind::Rejected, ts_us, it->second);
+    if (span_ring_ && it->second.traced)
+      record_instant({.kind = obs::SpanKind::Rejected}, ts_us, it->second);
     lru_.erase(it->second.lru_it);
     flows_.erase(it);
     return false;
@@ -240,8 +236,8 @@ bool VideoFlowPipeline::admit_flow(FlowMap::iterator it, bool inserted,
   // the whole pending batch before finalizing (resolution only mutates flow
   // *states*, never the table, so `it` and `victim` stay valid).
   if (victim->second.classify_pending) classify_pending_flush();
-  if (ring_ && victim->second.traced)
-    trace_push(obs::TraceEventKind::Evicted, ts_us, victim->second);
+  if (span_ring_ && victim->second.traced)
+    record_instant({.kind = obs::SpanKind::Evicted}, ts_us, victim->second);
   finalize(victim->first, victim->second);
   flows_.erase(victim);
   lru_.pop_front();
@@ -267,10 +263,9 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
     }
     state.transport =
         decoded.udp ? Transport::Quic : Transport::Tcp;
-    if (ring_ || span_ring_) {
+    if (span_ring_) {
       state.flow_hash = net::FlowKeyHash{}(key);
-      if (ring_) state.traced = ring_->sampled(state.flow_hash);
-      if (span_ring_) state.span_traced = span_ring_->sampled(state.flow_hash);
+      state.traced = span_ring_->sampled(state.flow_hash);
     }
   }
   if (!admit_flow(it, inserted, decoded.timestamp_us)) {
@@ -280,8 +275,9 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
   if (inserted) {
     obs_->flows_total.add(slot_);
     sync_flows_active();
-    if (ring_ && state.traced)
-      trace_push(obs::TraceEventKind::Admitted, decoded.timestamp_us, state);
+    if (span_ring_ && state.traced)
+      record_instant({.kind = obs::SpanKind::Admitted}, decoded.timestamp_us,
+                     state);
   }
 
   // Telemetry: every packet counts, direction by client address.
@@ -298,7 +294,7 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
   // the flow's last recorded span when the packet itself was unsampled
   // upstream (spans sample by flow, so the chain stays within one flow).
   obs::SpanScratch* spans = nullptr;
-  if (span_ring_ && state.span_traced) {
+  if (span_ring_ && state.traced) {
     const std::uint64_t pkt_parent = packet_span_parent_;
     packet_span_parent_ = 0;
     span_scratch_.ring = span_ring_;
@@ -341,7 +337,7 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
       batch_ ? &*batch_ : nullptr;
   if (generation_ && generation_->canary) {
     const std::uint64_t flow_hash =
-        ring_ ? state.flow_hash : net::FlowKeyHash{}(key);
+        span_ring_ ? state.flow_hash : net::FlowKeyHash{}(key);
     if (generation_->routes_to_canary(flow_hash)) {
       state.canary_routed = true;
       route_bank = generation_->canary.get();
@@ -384,20 +380,18 @@ void VideoFlowPipeline::apply_prediction(FlowState& state,
       obs_->classified_unknown.add(slot_);
       break;
   }
-  if (ring_ && state.traced) {
-    obs::TraceEvent event;
-    event.ts_us = ts_us;
-    event.flow_hash = state.flow_hash;
-    event.kind = obs::TraceEventKind::Classified;
-    event.os = prediction.device
-                   ? static_cast<std::uint8_t>(*prediction.device)
-                   : std::uint8_t{0xff};
-    event.agent = prediction.agent
-                      ? static_cast<std::uint8_t>(*prediction.agent)
-                      : std::uint8_t{0xff};
-    event.has_platform = prediction.platform.has_value();
-    event.confidence = static_cast<float>(prediction.platform_confidence);
-    ring_->push(event);
+  if (span_ring_ && state.traced) {
+    obs::Span instant;
+    instant.kind = obs::SpanKind::Classified;
+    instant.os = prediction.device
+                     ? static_cast<std::uint8_t>(*prediction.device)
+                     : obs::Span::kNoPlatform;
+    instant.agent = prediction.agent
+                        ? static_cast<std::uint8_t>(*prediction.agent)
+                        : obs::Span::kNoPlatform;
+    instant.composite = prediction.platform.has_value();
+    instant.confidence = static_cast<float>(prediction.platform_confidence);
+    record_instant(instant, ts_us, state);
   }
   // Canary-routed flows stay out of the drift monitor — the stable model's
   // baselines must not be judged on a candidate's outputs — and both routes
@@ -432,7 +426,7 @@ void VideoFlowPipeline::classify_pending_flush() {
         if (it == flows_.end()) return;  // unreachable: flush precedes erase
         FlowState& state = it->second;
         state.classify_pending = false;
-        if (span_ring_ && state.span_traced)
+        if (span_ring_ && state.traced)
           state.span_last = span_ring_->record(
               obs::SpanKind::Classify, state.flow_hash, pending.span_parent,
               batch_start_ns, obs::tick_now_ns(), adopted_model_gen_);
@@ -457,8 +451,9 @@ void VideoFlowPipeline::on_volume_sample(const net::FlowKey& key,
 void VideoFlowPipeline::finalize(const net::FlowKey& key, FlowState& state) {
   (void)key;
   if (!state.video_counted || !state.provider) return;  // not a video flow
-  if (ring_ && state.traced)
-    trace_push(obs::TraceEventKind::Finalized, state.counters.last_us, state);
+  if (span_ring_ && state.traced)
+    record_instant({.kind = obs::SpanKind::Finalized}, state.counters.last_us,
+                   state);
   telemetry::SessionRecord record;
   record.provider = *state.provider;
   record.transport = state.transport;
@@ -476,7 +471,7 @@ void VideoFlowPipeline::finalize(const net::FlowKey& key, FlowState& state) {
     // front-end it would escape a worker thread and std::terminate the
     // process); the record is lost, the error is counted, the flow table
     // stays consistent.
-    const bool span = span_ring_ && state.span_traced;
+    const bool span = span_ring_ && state.traced;
     const std::uint64_t t_sink = span ? obs::tick_now_ns() : 0;
     try {
       VPSCOPE_FAULTPOINT(fault::Point::SinkEmit);

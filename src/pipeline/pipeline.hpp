@@ -216,11 +216,9 @@ class VideoFlowPipeline {
     std::list<net::FlowKey>::iterator lru_it;
     /// FlowKeyHash of the key; only computed when tracing is enabled.
     std::uint64_t flow_hash = 0;
-    /// Deterministic 1-in-N sampling decision for this flow.
+    /// Deterministic 1-in-N sampling decision for this flow: it records
+    /// stage spans and lifecycle instants (DESIGN.md §5k).
     bool traced = false;
-    /// Causal span sampling decision (DESIGN.md §5k); independent of the
-    /// flow-event trace above.
-    bool span_traced = false;
     /// Most recent span recorded for this flow — the parent the next stage
     /// (or the final Sink span) chains from.
     std::uint64_t span_last = 0;
@@ -236,11 +234,13 @@ class VideoFlowPipeline {
   /// Admission control after try_emplace: touches the LRU and, when the
   /// table exceeds max_flows, evicts the longest-idle flow (or the
   /// just-admitted one under RejectNew). Returns false when `it` itself was
-  /// rejected and erased. `ts_us` stamps the trace events this may emit.
+  /// rejected and erased. `ts_us` stamps the instants this may record.
   bool admit_flow(FlowMap::iterator it, bool inserted, std::uint64_t ts_us);
   void touch_lru(FlowState& state);
-  void trace_push(obs::TraceEventKind kind, std::uint64_t ts_us,
-                  const FlowState& state);
+  /// Records a lifecycle instant for a traced flow; `instant` carries the
+  /// kind and any detail, the flow identity and stamps are filled here.
+  void record_instant(obs::Span instant, std::uint64_t ts_us,
+                      const FlowState& state);
   /// Keeps the vpscope_flows_active gauge in sync after table mutations.
   void sync_flows_active() {
     obs_->flows_active.set(slot_,
@@ -286,7 +286,6 @@ class VideoFlowPipeline {
   /// re-points obs_ at its shared bundle via bind_obs().
   std::shared_ptr<obs::PipelineObs> owned_obs_;
   obs::PipelineObs* obs_ = nullptr;
-  obs::TraceRing* ring_ = nullptr;      // cached obs_->ring(slot_)
   obs::SpanRing* span_ring_ = nullptr;  // cached obs_->span_ring(slot_)
   /// Reused per-packet span context for sampled flows (one flow is
   /// processed at a time on this pipeline's thread).

@@ -16,7 +16,6 @@
 #include "capture/pcap.hpp"
 #include "capture/replay.hpp"
 #include "net/ethernet.hpp"
-#include "net/pcap.hpp"
 #include "synth/dataset.hpp"
 
 namespace vpscope::capture {

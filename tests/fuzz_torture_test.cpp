@@ -4,10 +4,8 @@
 // parser defect the harness surfaced.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
+#include "capture/replay.hpp"
 #include "fuzz/driver.hpp"
-#include "net/pcap.hpp"
 #include "pipeline/pipeline.hpp"
 #include "synth/dataset.hpp"
 #include "tls/constants.hpp"
@@ -144,11 +142,11 @@ TEST_F(TortureTest, PipelineSurvivesGarbagePacketStreams) {
   for (const auto& seed : *corpus_) {
     for (int round = 0; round < 4; ++round) {
       const Bytes blob = mutator.mutate_pcap_blob(seed.pcap_blob);
-      std::istringstream is(std::string(
-          reinterpret_cast<const char*>(blob.data()), blob.size()));
-      const auto packets = net::read_pcap(is);
-      if (!packets) continue;
-      for (const auto& p : *packets) vfp.on_packet(p);
+      std::vector<net::Packet> packets;
+      const auto replay = capture::ReplayDriver().replay(
+          blob, [&](net::Packet&& p) { packets.push_back(std::move(p)); });
+      if (!replay.ok) continue;
+      for (const auto& p : packets) vfp.on_packet(p);
     }
   }
   vfp.flush_all();

@@ -150,17 +150,33 @@ TEST(ChromeTrace, GoldenRequiredKeys) {
   other.dur_ns = 100;
   other.slot = 2;
   other.kind = SpanKind::Sink;
+  Span classified;  // lifecycle instant of the first flow
+  classified.span_id = (std::uint64_t{1} << 40) | 3;
+  classified.flow_hash = 42;
+  classified.start_ns = 1'004'000;
+  classified.model_gen = 1;
+  classified.ts_us = 777;
+  classified.kind = SpanKind::Classified;
+  classified.os = static_cast<std::uint8_t>(fingerprint::Os::MacOS);
+  classified.agent = Span::kNoPlatform;
+  classified.confidence = 0.5f;
 
-  const std::string json = chrome_trace_json({extract, classify, other});
+  const std::string json =
+      chrome_trace_json({extract, classify, other, classified});
   EXPECT_TRUE(json_valid(json)) << json;
   // The exact keys Perfetto / chrome://tracing load: "X" complete events
-  // with microsecond ts/dur, pid/tid, and the vpscope args.
+  // with microsecond ts/dur, "i" instant events, pid/tid, and the vpscope
+  // args (instants add their packet timestamp and detail).
   for (const char* key :
        {"\"displayTimeUnit\":\"ms\"", "\"traceEvents\":[", "\"ph\":\"X\"",
         "\"cat\":\"vpscope\"", "\"pid\":1", "\"tid\":0", "\"tid\":2",
         "\"ts\":", "\"dur\":", "\"name\":\"flow\"", "\"name\":\"extract\"",
         "\"name\":\"classify\"", "\"name\":\"sink\"", "\"args\":{\"flow\":",
-        "\"span\":", "\"parent\":", "\"model_gen\":1"})
+        "\"span\":", "\"parent\":", "\"model_gen\":1",
+        "\"name\":\"classified\",\"cat\":\"vpscope\",\"ph\":\"i\",\"ts\":1004.000,"
+        "\"pid\":1",
+        "\"ts_us\":777,\"os\":\"macOS\",\"agent\":\"?\",\"composite\":false,"
+        "\"confidence\":0.5000}"})
     EXPECT_NE(json.find(key), std::string::npos) << key;
   // ts in microseconds with the nanosecond fraction: 1000500 ns -> 1000.500.
   EXPECT_NE(json.find("\"ts\":1000.500"), std::string::npos);
@@ -170,6 +186,27 @@ TEST(ChromeTrace, GoldenRequiredKeys) {
        pos != std::string::npos; pos = json.find("\"name\":\"flow\"", pos + 1))
     ++roots;
   EXPECT_EQ(roots, 2u) << "one synthesized root per flow hash";
+}
+
+// Synthesized flow roots take ids from the reserved slot-0 range, so no
+// flow hash can make a root share an id with a ring-assigned span: here the
+// flow hash equals slot 0's first span id.
+TEST(ChromeTrace, RootIdsNeverCollideWithRingIds) {
+  SpanRing ring(4, 1, 0);
+  const std::uint64_t flow = (std::uint64_t{1} << 40) | 1;
+  const std::uint64_t id = ring.record(SpanKind::Extract, flow, 0, 100, 200, 0);
+  ASSERT_EQ(id, flow);
+  const std::string json = chrome_trace_json(ring.drain_copy());
+  EXPECT_TRUE(json_valid(json)) << json;
+  const std::string span_key = "\"span\":" + std::to_string(id) + ",";
+  std::size_t uses = 0;
+  for (std::size_t pos = json.find(span_key); pos != std::string::npos;
+       pos = json.find(span_key, pos + 1))
+    ++uses;
+  EXPECT_EQ(uses, 1u) << "root and span share an id: " << json;
+  // The parentless span attaches to root 1, the first flow in export order.
+  EXPECT_NE(json.find("\"span\":1,\"parent\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"parent\":1,"), std::string::npos) << json;
 }
 
 TEST(ChromeTrace, EmptySpanSetIsStillValidJson) {
@@ -786,7 +823,6 @@ TEST_F(IntrospectTest, PerfCountersFallBackGracefullyWithoutPerfAccess) {
 TEST_F(IntrospectTest, FlightRecorderRendersAndDumpsParseablePostmortem) {
   ObsConfig config;
   config.span_sample_n = 1;
-  config.trace_sample_n = 1;
   pipeline::VideoFlowPipeline pipe(bank_a_.get(), {}, config);
   pipe.set_sink([](telemetry::SessionRecord) {});
   for (const auto& packet : interleaved_mix(3, 17)) pipe.on_packet(packet);
@@ -803,8 +839,8 @@ TEST_F(IntrospectTest, FlightRecorderRendersAndDumpsParseablePostmortem) {
   EXPECT_TRUE(json_valid(doc)) << doc;
   for (const char* key :
        {"\"reason\":\"unit_test\"", "\"detail\":\"detail-42\"",
-        "\"wall_ms\":", "\"spans\":[", "\"kind\":\"sink\"", "\"shards\":[",
-        "\"metrics\":", "\"vpscope_packets_total\"",
+        "\"wall_ms\":", "\"spans\":[", "\"kind\":\"sink\"",
+        "\"kind\":\"finalized\"", "\"metrics\":", "\"vpscope_packets_total\"",
         "\"context\":{\"front_end\":\"unit\"}"})
     EXPECT_NE(doc.find(key), std::string::npos) << key;
 

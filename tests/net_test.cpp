@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <sstream>
 
+#include "capture/export.hpp"
+#include "capture/replay.hpp"
 #include "net/ip.hpp"
 #include "net/packet.hpp"
-#include "net/pcap.hpp"
 #include "net/tcp.hpp"
 #include "net/udp.hpp"
 #include "util/rng.hpp"
@@ -285,32 +285,33 @@ TEST(Pcap, WriteReadRoundTrip) {
     packets.push_back(std::move(p));
   }
 
-  std::stringstream ss;
-  ASSERT_TRUE(write_pcap(ss, packets));
-  const auto readback = read_pcap(ss);
-  ASSERT_TRUE(readback.has_value());
-  ASSERT_EQ(readback->size(), packets.size());
+  const Bytes blob =
+      capture::export_pcap(packets, {.link_type = capture::LinkType::Raw});
+  std::vector<Packet> readback;
+  const auto stats = capture::ReplayDriver().replay(
+      blob, [&](Packet&& p) { readback.push_back(std::move(p)); });
+  ASSERT_TRUE(stats.ok) << stats.error;
+  ASSERT_EQ(readback.size(), packets.size());
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    EXPECT_EQ((*readback)[i].timestamp_us, packets[i].timestamp_us);
-    EXPECT_EQ((*readback)[i].data, packets[i].data);
+    EXPECT_EQ(readback[i].timestamp_us, packets[i].timestamp_us);
+    EXPECT_EQ(readback[i].data, packets[i].data);
   }
 }
 
 TEST(Pcap, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "not a pcap file at all, sorry";
-  EXPECT_FALSE(read_pcap(ss).has_value());
+  const std::string text = "not a pcap file at all, sorry";
+  const Bytes blob(text.begin(), text.end());
+  EXPECT_FALSE(capture::PcapReader::open(blob).has_value());
 }
 
 TEST(Pcap, RejectsTruncatedRecord) {
   std::vector<Packet> packets(1);
   packets[0].data = Bytes(40, 0x45);
-  std::stringstream ss;
-  ASSERT_TRUE(write_pcap(ss, packets));
-  std::string content = ss.str();
-  content.resize(content.size() - 5);
-  std::stringstream truncated(content);
-  EXPECT_FALSE(read_pcap(truncated).has_value());
+  Bytes blob =
+      capture::export_pcap(packets, {.link_type = capture::LinkType::Raw});
+  blob.resize(blob.size() - 5);
+  const auto stats = capture::ReplayDriver().replay(blob, [](Packet&&) {});
+  EXPECT_FALSE(stats.ok);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // vpscope::obs unit + integration suite (DESIGN.md §5f): histogram bucket
-// math and merge correctness, per-slot counter concurrency, trace-ring
-// sampling determinism, golden exposition output, and the ISSUE-5
-// acceptance scenario — a loaded 8-shard pipeline whose Prometheus scrape
+// math and merge correctness, per-slot counter concurrency, lifecycle
+// instant determinism, golden exposition output, and the scrape acceptance
+// scenario — a loaded 8-shard pipeline whose Prometheus scrape
 // alone must prove the drop-accounting identity and expose per-stage
 // latency quantiles.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 
 #include "campus/overload.hpp"
 #include "obs/export.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/pipeline_obs.hpp"
 #include "pipeline/sharded_pipeline.hpp"
 #include "synth/dataset.hpp"
@@ -208,48 +209,6 @@ TEST(StageTimers, DisabledProfilerRecordsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace ring
-// ---------------------------------------------------------------------------
-
-TEST(TraceRingTest, SamplingIsDeterministicInFlowHash) {
-  const TraceRing off(64, 0);
-  EXPECT_FALSE(off.enabled());
-  EXPECT_FALSE(off.sampled(0));
-
-  const TraceRing every(64, 1);
-  const TraceRing quarter(64, 4);
-  for (std::uint64_t h = 0; h < 1000; ++h) {
-    EXPECT_TRUE(every.sampled(h));
-    EXPECT_EQ(quarter.sampled(h), h % 4 == 0);
-  }
-  // The decision is a pure function of (hash, N): a second ring with the
-  // same N agrees on every flow — the property that makes two runs over
-  // the same traffic produce identical traces.
-  const TraceRing quarter2(64, 4);
-  for (std::uint64_t h = 0; h < 1000; ++h)
-    EXPECT_EQ(quarter.sampled(h), quarter2.sampled(h));
-}
-
-TEST(TraceRingTest, BoundedOverwriteKeepsNewestWindowInOrder) {
-  TraceRing ring(8, 1);
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    TraceEvent e;
-    e.ts_us = i;
-    e.flow_hash = i * 100;
-    e.kind = TraceEventKind::Admitted;
-    ring.push(e);
-  }
-  EXPECT_EQ(ring.size(), 8u);
-  EXPECT_EQ(ring.total_pushed(), 20u);
-  const std::vector<TraceEvent> events = ring.drain_copy();
-  ASSERT_EQ(events.size(), 8u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].ts_us, 12 + i) << "oldest-first window of the tail";
-    EXPECT_EQ(events[i].flow_hash, (12 + i) * 100);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Exposition: golden output
 // ---------------------------------------------------------------------------
 
@@ -374,34 +333,42 @@ TEST(Exposition, PeriodicExporterHonoursInterval) {
   EXPECT_NE(content.find("t_total 5\n"), std::string::npos);
 }
 
-TEST(PipelineObsTest, DumpShardIsParseableJson) {
+// The watchdog postmortem layout (DESIGN.md §5k): lifecycle instants travel
+// in the flight recorder's "spans" array with their detail rendered, next
+// to one registry snapshot.
+TEST(PipelineObsTest, PostmortemCarriesLifecycleInstants) {
   ObsConfig config;
-  config.trace_sample_n = 1;
-  config.trace_ring_capacity = 16;
+  config.span_sample_n = 1;
+  config.span_ring_capacity = 16;
   PipelineObs obs(2, config);
   obs.packets_total.add(0, 10);
-  TraceEvent admitted;
-  admitted.ts_us = 5;
+  Span admitted;
+  admitted.kind = SpanKind::Admitted;
   admitted.flow_hash = 42;
-  admitted.kind = TraceEventKind::Admitted;
-  obs.ring(0)->push(admitted);
-  TraceEvent classified;
+  admitted.ts_us = 5;
+  obs.span_ring(0)->record_instant(admitted);
+  Span classified = admitted;
+  classified.kind = SpanKind::Classified;
   classified.ts_us = 9;
-  classified.flow_hash = 42;
-  classified.kind = TraceEventKind::Classified;
-  classified.os = 0;
-  classified.agent = 0;
-  classified.has_platform = true;
+  classified.os = static_cast<std::uint8_t>(fingerprint::Os::Windows);
+  classified.agent = static_cast<std::uint8_t>(fingerprint::Agent::Chrome);
+  classified.composite = 1;
   classified.confidence = 0.75f;
-  obs.ring(0)->push(classified);
+  obs.span_ring(0)->record_instant(classified);
 
-  const std::string dump = obs.dump_shard(0);
-  EXPECT_TRUE(json_valid(dump)) << dump;
-  EXPECT_NE(dump.find("\"event\":\"admitted\""), std::string::npos);
-  EXPECT_NE(dump.find("\"event\":\"classified\""), std::string::npos);
-  EXPECT_NE(dump.find("\"vpscope_packets_total\""), std::string::npos);
-  // Shard 1's ring is empty but the dump is still a valid document.
-  EXPECT_TRUE(json_valid(obs.dump_shard(1)));
+  const std::string doc = FlightRecorder(&obs).render("unit");
+  EXPECT_TRUE(json_valid(doc)) << doc;
+  for (const char* key :
+       {"\"kind\":\"admitted\"", "\"ts_us\":5", "\"kind\":\"classified\"",
+        "\"ts_us\":9", "\"os\":\"Windows\"", "\"agent\":\"Chrome\"",
+        "\"composite\":true", "\"confidence\":0.7500",
+        "\"vpscope_packets_total\""})
+    EXPECT_NE(doc.find(key), std::string::npos) << key;
+  EXPECT_EQ(doc.find("\"shards\""), std::string::npos)
+      << "the registry travels once, under \"metrics\"";
+  // Empty rings still render a valid document.
+  const PipelineObs empty(2, config);
+  EXPECT_TRUE(json_valid(FlightRecorder(&empty).render("empty")));
 }
 
 // ---------------------------------------------------------------------------
@@ -452,21 +419,27 @@ TEST_F(ObsPipelineTest, StandaloneScrapeMatchesStatsAndTracesDeterministically) 
   traffic_config.flood_flows = 0;
   const auto traffic = campus::make_overload_traffic(traffic_config);
 
-  auto run = [&](std::vector<TraceEvent>& events_out) {
+  // Lifecycle instants of the sampled flows, in ring (arrival) order.
+  auto run = [&](std::vector<Span>& instants_out) {
     ObsConfig config;
     config.profile_stages = true;
-    config.trace_sample_n = 2;
+    config.span_sample_n = 2;
+    config.span_ring_capacity = std::size_t{1} << 16;
     pipeline::VideoFlowPipeline pipe(bank_, {}, config);
     pipe.set_sink([](telemetry::SessionRecord) {});
     for (const auto& packet : traffic.packets) pipe.on_packet(packet);
     pipe.flush_all();
-    events_out = pipe.observability().ring(0)->drain_copy();
+    const SpanRing& ring = *pipe.observability().span_ring(0);
+    EXPECT_LT(ring.size(), config.span_ring_capacity)
+        << "the ring must not wrap, or early instants are lost";
+    for (const Span& s : ring.drain_copy())
+      if (span_is_instant(s.kind)) instants_out.push_back(s);
     return std::make_pair(pipe.stats(),
                           prometheus_text(pipe.observability().registry()));
   };
 
-  std::vector<TraceEvent> events_a;
-  const auto [stats, scrape] = run(events_a);
+  std::vector<Span> instants_a;
+  const auto [stats, scrape] = run(instants_a);
 
   EXPECT_EQ(scrape_value(scrape, "vpscope_packets_total"),
             stats.packets_total);
@@ -480,27 +453,28 @@ TEST_F(ObsPipelineTest, StandaloneScrapeMatchesStatsAndTracesDeterministically) 
       << "flush_all empties the table";
 
   // A 1-in-2 sampled trace saw roughly half the flows, fully: every sampled
-  // flow has its Admitted event, classified video flows their Classified
+  // flow has its Admitted instant, classified video flows their Classified
   // and Finalized ones.
   std::uint64_t admitted = 0, classified = 0, finalized = 0;
-  for (const TraceEvent& e : events_a) {
+  for (const Span& e : instants_a) {
     EXPECT_EQ(e.flow_hash % 2, 0u) << "only sampled flows may appear";
-    admitted += e.kind == TraceEventKind::Admitted;
-    classified += e.kind == TraceEventKind::Classified;
-    finalized += e.kind == TraceEventKind::Finalized;
+    admitted += e.kind == SpanKind::Admitted;
+    classified += e.kind == SpanKind::Classified;
+    finalized += e.kind == SpanKind::Finalized;
   }
   EXPECT_GT(admitted, 0u);
   EXPECT_GT(classified, 0u);
   EXPECT_EQ(admitted, finalized) << "every sampled flow ends through the sink";
 
-  // Determinism: the same traffic yields the identical event sequence.
-  std::vector<TraceEvent> events_b;
-  run(events_b);
-  ASSERT_EQ(events_a.size(), events_b.size());
-  for (std::size_t i = 0; i < events_a.size(); ++i) {
-    EXPECT_EQ(events_a[i].kind, events_b[i].kind) << i;
-    EXPECT_EQ(events_a[i].flow_hash, events_b[i].flow_hash) << i;
-    EXPECT_EQ(events_a[i].ts_us, events_b[i].ts_us) << i;
+  // Determinism: the same traffic yields the identical lifecycle sequence
+  // of (kind, flow, packet ts_us).
+  std::vector<Span> instants_b;
+  run(instants_b);
+  ASSERT_EQ(instants_a.size(), instants_b.size());
+  for (std::size_t i = 0; i < instants_a.size(); ++i) {
+    EXPECT_EQ(instants_a[i].kind, instants_b[i].kind) << i;
+    EXPECT_EQ(instants_a[i].flow_hash, instants_b[i].flow_hash) << i;
+    EXPECT_EQ(instants_a[i].ts_us, instants_b[i].ts_us) << i;
   }
 }
 
@@ -526,7 +500,7 @@ TEST_F(ObsPipelineTest, ShardedScrapeProvesIdentityAndStageLatencies) {
   options.overload = pipeline::ShardedPipelineOptions::Overload::Shed;
   options.payload_grace_us = 0;
   options.obs.profile_stages = true;
-  options.obs.trace_sample_n = 8;
+  options.obs.span_sample_n = 8;
   pipeline::ShardedPipeline sharded(bank_, options);
   sharded.set_sink([](telemetry::SessionRecord) {});
   for (const auto& packet : traffic.packets) sharded.on_packet(packet);

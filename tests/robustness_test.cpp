@@ -3,8 +3,9 @@
 // hang, or fabricate a confident classification from garbage.
 #include <gtest/gtest.h>
 
+#include "capture/export.hpp"
+#include "capture/replay.hpp"
 #include "core/handshake.hpp"
-#include "net/pcap.hpp"
 #include "pipeline/pipeline.hpp"
 #include "quic/initial.hpp"
 #include "quic/transport_params.hpp"
@@ -192,19 +193,15 @@ TEST(PipelineRobustness, PcapRoundTripOfCorruptedCaptureIsRejectedCleanly) {
   synth::FlowSynthesizer synth(rng);
   const auto flow = synth.synthesize(fingerprint::make_profile(
       {Os::Android, Agent::NativeApp}, Provider::YouTube, Transport::Quic));
-  std::stringstream ss;
-  ASSERT_TRUE(net::write_pcap(ss, flow.packets));
-  std::string blob = ss.str();
+  Bytes blob = capture::export_pcap(flow.packets,
+                                    {.link_type = capture::LinkType::Raw});
   // Corrupt the record headers region.
   for (std::size_t i = 24; i < blob.size() && i < 80; i += 7)
-    blob[i] = static_cast<char>(~blob[i]);
-  std::stringstream corrupted(blob);
+    blob[i] = static_cast<std::uint8_t>(~blob[i]);
   // Either cleanly rejected or parsed into packets that then fail decode —
   // never a crash.
-  const auto packets = net::read_pcap(corrupted);
-  if (packets) {
-    for (const auto& packet : *packets) (void)net::decode(packet);
-  }
+  capture::ReplayDriver().replay(
+      blob, [](net::Packet&& packet) { (void)net::decode(packet); });
   SUCCEED();
 }
 

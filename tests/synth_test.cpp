@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
+#include "capture/export.hpp"
+#include "capture/replay.hpp"
 #include "core/handshake.hpp"
-#include "net/pcap.hpp"
 #include "synth/dataset.hpp"
 #include "synth/flow_synthesizer.hpp"
 
@@ -159,11 +158,13 @@ TEST(FlowSynthesizer, FlowsSurvivePcapRoundTrip) {
       {Os::IOS, Agent::NativeApp}, Provider::YouTube, Transport::Quic);
   const auto flow = synth.synthesize(profile);
 
-  std::stringstream ss;
-  ASSERT_TRUE(net::write_pcap(ss, flow.packets));
-  const auto readback = net::read_pcap(ss);
-  ASSERT_TRUE(readback.has_value());
-  const auto handshake = core::extract_handshake(*readback);
+  const Bytes blob = capture::export_pcap(
+      flow.packets, {.link_type = capture::LinkType::Raw});
+  std::vector<net::Packet> readback;
+  const auto stats = capture::ReplayDriver().replay(
+      blob, [&](net::Packet&& p) { readback.push_back(std::move(p)); });
+  ASSERT_TRUE(stats.ok) << stats.error;
+  const auto handshake = core::extract_handshake(readback);
   ASSERT_TRUE(handshake.has_value());
   EXPECT_EQ(handshake->transport, Transport::Quic);
   EXPECT_EQ(handshake->chlo.server_name(), flow.sni);
