@@ -163,25 +163,34 @@ SingleThreadResult run_single_thread(const std::vector<net::Packet>& packets) {
   return best;
 }
 
+/// Shard scaling: repetitions per (shards, batch) row, interleaved across
+/// rows so host drift lands on every row alike, and passes of the packet
+/// set per timed run (each pass ends in flush_all, so every pass redoes the
+/// same work) — long enough that thread start-up and scheduler noise do not
+/// dominate one run.
+constexpr int kScalingReps = 7;
+constexpr int kScalingPasses = 8;
+
 struct ShardResult {
   int shards = 0;
   std::size_t batch_size = 0;
-  double elapsed_s = 0;
-  double packets_per_sec = 0;
-  double flows_per_sec = 0;
-  double speedup_vs_1 = 0;
+  std::vector<double> pps;  // one per repetition
+  double packets_per_sec = 0;  // median over repetitions
+  double pps_min = 0;
+  double pps_max = 0;
+  std::uint64_t flows_per_pass = 0;  // video flows per pass, this row's runs
+  double flows_per_sec = 0;  // at the median rate
+  double speedup_vs_1 = 0;   // of the medians
   /// False when the run had fewer usable cores than shards: the "scaling"
   /// then measures time-slicing, not parallelism, and must not be read as
   /// a regression (or an improvement) across machines.
   bool scaling_valid = true;
 };
 
-ShardResult run_sharded_once(const std::vector<net::Packet>& packets,
-                             int shards, std::size_t batch_size) {
-  ShardResult out;
-  out.shards = shards;
-  out.batch_size = batch_size;
-  out.scaling_valid = usable_cores() >= shards;
+/// One timed run: kScalingPasses passes of `packets`; returns packets/s and
+/// stores the video flows seen per pass.
+double run_sharded_once(const std::vector<net::Packet>& packets, int shards,
+                        std::size_t batch_size, std::uint64_t* flows_per_pass) {
   const auto start = std::chrono::steady_clock::now();
   pipeline::ShardedPipeline pipe(&bench::campus_bank(),
                                  {.n_shards = shards,
@@ -191,23 +200,46 @@ ShardResult run_sharded_once(const std::vector<net::Packet>& packets,
   pipe.set_sink([&records](telemetry::SessionRecord) {
     records.fetch_add(1, std::memory_order_relaxed);
   });
-  for (const auto& packet : packets) pipe.on_packet(packet);
-  pipe.flush_all();
+  for (int pass = 0; pass < kScalingPasses; ++pass) {
+    for (const auto& packet : packets) pipe.on_packet(packet);
+    pipe.flush_all();
+  }
   const auto stats = pipe.stats();
-  out.elapsed_s = seconds_since(start);
-  out.packets_per_sec = static_cast<double>(packets.size()) / out.elapsed_s;
-  out.flows_per_sec = static_cast<double>(stats.video_flows) / out.elapsed_s;
-  return out;
+  const double elapsed = seconds_since(start);
+  *flows_per_pass = stats.video_flows / kScalingPasses;
+  return static_cast<double>(packets.size()) * kScalingPasses / elapsed;
 }
 
-ShardResult run_sharded(const std::vector<net::Packet>& packets, int shards,
-                        std::size_t batch_size) {
-  auto best = run_sharded_once(packets, shards, batch_size);
-  for (int rep = 1; rep < 3; ++rep) {
-    const auto r = run_sharded_once(packets, shards, batch_size);
-    if (r.elapsed_s < best.elapsed_s) best = r;
+std::vector<ShardResult> run_shard_scaling(
+    const std::vector<net::Packet>& packets) {
+  std::vector<ShardResult> rows;
+  for (const int shards : {1, 2, 4, 8})
+    for (const std::size_t batch_size :
+         {std::size_t{1}, std::size_t{8}, std::size_t{32}, std::size_t{128}})
+      rows.push_back({.shards = shards,
+                      .batch_size = batch_size,
+                      .scaling_valid = usable_cores() >= shards});
+  for (int rep = 0; rep < kScalingReps; ++rep)
+    for (auto& row : rows)
+      row.pps.push_back(run_sharded_once(packets, row.shards, row.batch_size,
+                                         &row.flows_per_pass));
+  for (auto& row : rows) {
+    std::vector<double> sorted = row.pps;
+    std::sort(sorted.begin(), sorted.end());
+    row.packets_per_sec = sorted[sorted.size() / 2];
+    row.pps_min = sorted.front();
+    row.pps_max = sorted.back();
+    row.flows_per_sec = row.packets_per_sec *
+                        static_cast<double>(row.flows_per_pass) /
+                        static_cast<double>(packets.size());
   }
-  return best;
+  // Speedup is relative to (1 shard, same batch size), so shard scaling
+  // and batching gains stay separable in the trajectory.
+  for (auto& row : rows)
+    for (const auto& ref : rows)
+      if (ref.shards == 1 && ref.batch_size == row.batch_size)
+        row.speedup_vs_1 = row.packets_per_sec / ref.packets_per_sec;
+  return rows;
 }
 
 struct ClassifyResult {
@@ -643,13 +675,19 @@ void write_json(const SingleThreadResult& single, const ClassifyResult& cls,
   }
   json << "    ]\n"
        << "  },\n"
+       << "  \"shard_scaling_method\": {\"repetitions\": " << kScalingReps
+       << ", \"passes_per_run\": " << kScalingPasses
+       << ", \"packets_per_pass\": " << single.packets
+       << ", \"statistic\": \"median packets/s over interleaved "
+          "repetitions, min and max as the spread\"},\n"
        << "  \"shard_scaling\": [\n";
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const auto& s = scaling[i];
     json << "    {\"shards\": " << s.shards
          << ", \"batch_size\": " << s.batch_size
-         << ", \"elapsed_s\": " << s.elapsed_s
          << ", \"packets_per_sec\": " << s.packets_per_sec
+         << ", \"pps_min\": " << s.pps_min
+         << ", \"pps_max\": " << s.pps_max
          << ", \"flows_per_sec\": " << s.flows_per_sec
          << ", \"speedup_vs_1\": " << s.speedup_vs_1
          << ", \"scaling_valid\": " << (s.scaling_valid ? "true" : "false")
@@ -757,28 +795,22 @@ void report() {
                          TextTable::num(p.speedup, 2) + "x"});
   batch_table.print(std::cout);
 
-  std::vector<ShardResult> scaling;
-  for (const int shards : {1, 2, 4, 8})
-    for (const std::size_t batch_size :
-         {std::size_t{1}, std::size_t{8}, std::size_t{32}, std::size_t{128}})
-      scaling.push_back(run_sharded(packets, shards, batch_size));
-  // Speedup is relative to (1 shard, same batch size), so shard scaling
-  // and batching gains stay separable in the trajectory.
-  for (auto& s : scaling)
-    for (const auto& ref : scaling)
-      if (ref.shards == 1 && ref.batch_size == s.batch_size)
-        s.speedup_vs_1 = ref.elapsed_s / s.elapsed_s;
-  TextTable shard_table({"Shards", "batch", "packets/sec", "flows/sec",
-                         "speedup vs 1", "valid"});
+  const std::vector<ShardResult> scaling = run_shard_scaling(packets);
+  TextTable shard_table({"Shards", "batch", "packets/sec (median)",
+                         "min .. max", "flows/sec", "speedup vs 1", "valid"});
   for (const auto& s : scaling)
     shard_table.add_row({std::to_string(s.shards),
                          std::to_string(s.batch_size),
                          TextTable::num(s.packets_per_sec, 0),
+                         TextTable::num(s.pps_min, 0) + " .. " +
+                             TextTable::num(s.pps_max, 0),
                          TextTable::num(s.flows_per_sec, 0),
                          TextTable::num(s.speedup_vs_1, 2) + "x",
                          s.scaling_valid ? "yes" : "no"});
   shard_table.print(std::cout);
-  std::cout << "hardware threads: " << std::thread::hardware_concurrency()
+  std::cout << kScalingReps << " interleaved repetitions of "
+            << kScalingPasses << " passes over the mix per row.\n"
+            << "hardware threads: " << std::thread::hardware_concurrency()
             << ", effective affinity: " << effective_affinity()
             << " (rows with valid=no ran more shards than usable cores:\n"
                "they measure time-slicing, not parallel speedup; per-flow\n"

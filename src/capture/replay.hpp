@@ -70,8 +70,7 @@ class ReplayDriver {
 
   /// Replays an in-memory pcap image into the sink. The image must stay
   /// valid for the duration of the call only (packet bytes are copied into
-  /// the owned net::Packet handed to the sink — the pipeline keeps packets
-  /// beyond the call).
+  /// the owned net::Packet handed to the sink).
   ReplayStats replay(ByteView pcap_image, const PacketSink& sink);
 
   ReplayStats replay_file(const std::string& path, const PacketSink& sink);
@@ -81,8 +80,8 @@ class ReplayDriver {
   FlushHook flush_hook_;
 };
 
-/// Glues a replay onto a pipeline front-end: packets via on_packet (move
-/// ingest), idle aging via flush_idle, then flush_all + the final record
+/// Glues a replay onto a pipeline front-end: packets via on_packet, idle
+/// aging via flush_idle, then flush_all + the final record
 /// drain. Works for both VideoFlowPipeline and ShardedPipeline without a
 /// link dependency on either.
 template <typename Pipeline>

@@ -7,18 +7,28 @@ namespace vpscope::core {
 using fingerprint::Transport;
 
 bool HandshakeExtractor::feed(const net::DecodedPacket& packet) {
+  if (!wants(packet)) return false;
+  return packet.tcp ? feed_tcp(packet) : feed_quic(packet);
+}
+
+bool HandshakeExtractor::wants(const net::DecodedPacket& packet) const {
   if (complete_ || failed_) return false;
-  if (packet.tcp) return feed_tcp(packet);
-  if (packet.udp) return feed_quic(packet);
+  if (packet.tcp) {
+    const net::TcpHeader& tcp = *packet.tcp;
+    // The client SYN opens the observation; a retransmission does not.
+    if (tcp.flags.syn && !tcp.flags.ack) return !seen_syn_;
+    // Only client-to-server payload can carry the ClientHello.
+    return seen_syn_ && packet.src == *client_addr_ &&
+           tcp.src_port == client_port_ && !packet.payload.empty();
+  }
+  if (packet.udp) return quic::looks_like_initial(packet.payload);
   return false;
 }
 
 bool HandshakeExtractor::feed_tcp(const net::DecodedPacket& packet) {
   const net::TcpHeader& tcp = *packet.tcp;
 
-  // The client SYN opens the observation.
   if (tcp.flags.syn && !tcp.flags.ack) {
-    if (seen_syn_) return false;  // retransmission; first one wins
     seen_syn_ = true;
     client_addr_ = packet.src;
     client_port_ = tcp.src_port;
@@ -36,12 +46,7 @@ bool HandshakeExtractor::feed_tcp(const net::DecodedPacket& packet) {
     return true;
   }
 
-  if (!seen_syn_ || !client_addr_) return false;
-  // Only client-to-server payload can carry the ClientHello.
-  if (packet.src != *client_addr_ || tcp.src_port != client_port_)
-    return false;
-  if (packet.payload.empty()) return false;
-
+  // Client payload after the SYN (wants() checked the direction).
   tcp_stream_.insert(tcp_stream_.end(), packet.payload.begin(),
                      packet.payload.end());
   // A ClientHello comfortably fits the first few segments; bail out if the
@@ -55,7 +60,6 @@ bool HandshakeExtractor::feed_tcp(const net::DecodedPacket& packet) {
 }
 
 bool HandshakeExtractor::feed_quic(const net::DecodedPacket& packet) {
-  if (!quic::looks_like_initial(packet.payload)) return false;
   // Only the client's Initials decrypt with the DCID-derived client keys;
   // server packets fail authentication and are skipped, so no explicit
   // direction tracking is needed.

@@ -49,6 +49,13 @@ class HandshakeExtractor {
   /// client handshake packet of interest).
   bool feed(const net::DecodedPacket& packet);
 
+  /// Header-only pre-check of feed(): false when `packet` cannot advance
+  /// the handshake — extraction is complete or abandoned, a TCP flow is
+  /// seen mid-stream (no SYN yet) or the packet is not client payload, a
+  /// UDP payload is no QUIC Initial. True does not promise an advance (a
+  /// look-alike Initial may still fail to decrypt).
+  bool wants(const net::DecodedPacket& packet) const;
+
   bool complete() const { return complete_; }
   const std::optional<FlowHandshake>& handshake() const { return result_; }
 

@@ -1,6 +1,7 @@
 #include "net/packet.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace vpscope::net {
 
@@ -74,17 +75,17 @@ FlowKey DecodedPacket::flow_key(bool* from_a_to_b) const {
                             from_a_to_b);
 }
 
-std::optional<DecodedPacket> decode(const Packet& packet) {
-  const ByteView raw{packet.data};
+std::optional<DecodedPacket> decode(ByteView raw, std::uint64_t timestamp_us) {
   if (raw.empty()) return std::nullopt;
 
   DecodedPacket out;
-  out.timestamp_us = packet.timestamp_us;
+  out.timestamp_us = timestamp_us;
   out.ip_packet_size = raw.size();
 
   std::size_t ip_hlen = 0;
   const int version = raw[0] >> 4;
   if (version == 4) {
+    if (raw.size() > 65535) return std::nullopt;
     const auto v4 = Ipv4Header::parse(raw, &ip_hlen);
     if (!v4) return std::nullopt;
     out.ttl = v4->ttl;
@@ -96,6 +97,7 @@ std::optional<DecodedPacket> decode(const Packet& packet) {
     // telemetry must use the header value.
     out.ip_packet_size = std::max<std::size_t>(raw.size(), v4->total_length);
   } else if (version == 6) {
+    if (raw.size() > kMaxDatagramBytes) return std::nullopt;
     const auto v6 = Ipv6Header::parse(raw, &ip_hlen);
     if (!v6) return std::nullopt;
     out.is_v6 = true;
@@ -120,6 +122,43 @@ std::optional<DecodedPacket> decode(const Packet& packet) {
   }
   out.payload = transport.subspan(t_hlen);
   return out;
+}
+
+std::optional<FlowKey> flow_key_of(ByteView raw) {
+  // Each check mirrors one decode() makes on the bytes read here, so no
+  // datagram decode() accepts is refused.
+  if (raw.empty()) return std::nullopt;
+  IpAddr src, dst;
+  std::size_t l4 = 0;
+  std::uint8_t protocol = 0;
+  const int version = raw[0] >> 4;
+  if (version == 4) {
+    l4 = (raw[0] & 0x0f) * std::size_t{4};
+    if (raw.size() > 65535 || l4 < Ipv4Header::kMinSize || raw.size() < l4)
+      return std::nullopt;
+    protocol = raw[9];
+    std::memcpy(src.bytes.data(), raw.data() + 12, 4);
+    std::memcpy(dst.bytes.data(), raw.data() + 16, 4);
+  } else if (version == 6) {
+    l4 = Ipv6Header::kSize;
+    if (raw.size() > kMaxDatagramBytes || raw.size() < l4) return std::nullopt;
+    protocol = raw[6];
+    src.is_v6 = dst.is_v6 = true;
+    std::memcpy(src.bytes.data(), raw.data() + 8, 16);
+    std::memcpy(dst.bytes.data(), raw.data() + 24, 16);
+  } else {
+    return std::nullopt;
+  }
+  // The fixed transport header must be present (TCP 20 B, UDP 8 B); its
+  // first four bytes are the ports.
+  const std::size_t min_l4 = protocol == kProtoTcp   ? TcpHeader::kMinSize
+                             : protocol == kProtoUdp ? UdpHeader::kSize
+                                                     : 0;
+  if (min_l4 == 0 || raw.size() - l4 < min_l4) return std::nullopt;
+  const std::uint8_t* ports = raw.data() + l4;
+  return FlowKey::canonical(
+      src, static_cast<std::uint16_t>(ports[0] << 8 | ports[1]), dst,
+      static_cast<std::uint16_t>(ports[2] << 8 | ports[3]), protocol);
 }
 
 }  // namespace vpscope::net

@@ -63,8 +63,26 @@ struct DecodedPacket {
   FlowKey flow_key(bool* from_a_to_b = nullptr) const;
 };
 
-/// Decodes a raw IP packet. Returns nullopt for non-IP, truncated, or
-/// non-TCP/UDP datagrams (the pipeline ignores those anyway).
-std::optional<DecodedPacket> decode(const Packet& packet);
+/// Longest datagram decode() and flow_key_of() accept: an IPv6 header plus
+/// the largest non-jumbo payload (RFC 8200). IPv4 stops at 65,535 B, its
+/// 16-bit total length (RFC 791); anything longer is no IP datagram.
+inline constexpr std::size_t kMaxDatagramBytes = 40 + 65535;
+
+/// Decodes a raw IP packet. Returns nullopt for non-IP, truncated,
+/// over-long or non-TCP/UDP datagrams (the pipeline ignores those anyway).
+/// The views in the result borrow from `datagram`.
+std::optional<DecodedPacket> decode(ByteView datagram,
+                                    std::uint64_t timestamp_us);
+inline std::optional<DecodedPacket> decode(const Packet& packet) {
+  return decode(ByteView{packet.data}, packet.timestamp_us);
+}
+
+/// The routing half of decode(): the canonical FlowKey read from fixed
+/// offsets (IP version, IPv4 header length, protocol, addresses, ports)
+/// without parsing TCP options or checking transport lengths. Whenever
+/// decode(d) succeeds, flow_key_of(d) == decode(d)->flow_key(); the
+/// converse does not hold (a bad TCP data offset, a malformed TCP option or
+/// a UDP length past the datagram routes but does not decode).
+std::optional<FlowKey> flow_key_of(ByteView datagram);
 
 }  // namespace vpscope::net

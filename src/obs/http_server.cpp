@@ -288,18 +288,23 @@ void HttpServer::serve_connection(int) {}
 std::string healthz_json(const PipelineObs& obs, std::string_view app_status) {
   // The exact identity, recomputed the way snapshot() does: component
   // counters first (acquire), the staged gauge after, the grand total last.
+  // A shard's non-IP count is its worker's decode rejects: finished
+  // packets, like its completed ones.
   std::uint64_t completed = 0;
+  std::uint64_t non_ip = obs.packets_non_ip.value(obs.dispatcher_slot(),
+                                                  std::memory_order_acquire);
   std::uint64_t stranded = 0;
   for (int i = 0; i < obs.n_shards(); ++i) {
     const std::uint64_t done =
         obs.packets_completed.value(i, std::memory_order_acquire);
+    const std::uint64_t rejected =
+        obs.packets_non_ip.value(i, std::memory_order_acquire);
     completed += done;
+    non_ip += rejected;
     const std::uint64_t sent =
         obs.packets_enqueued.value(i, std::memory_order_acquire);
-    if (sent > done) stranded += sent - done;
+    if (sent > done + rejected) stranded += sent - done - rejected;
   }
-  const std::uint64_t non_ip =
-      obs.packets_non_ip.total(std::memory_order_acquire);
   const std::uint64_t dropped_payload =
       obs.packets_dropped_payload.total(std::memory_order_acquire);
   const std::uint64_t dropped_handshake =

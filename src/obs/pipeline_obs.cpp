@@ -65,6 +65,14 @@ PipelineObs::PipelineObs(int n_shards, ObsConfig config)
       worker_batches(registry_->counter(
           "vpscope_worker_batches_total",
           "Bulk ring drains performed by shard workers")),
+      dispatch_waits_ring(registry_->counter(
+          "vpscope_dispatch_waits_total",
+          "Items the dispatcher waited on a full shard ring or arena for",
+          "cause=\"ring\"")),
+      dispatch_waits_arena(registry_->counter(
+          "vpscope_dispatch_waits_total",
+          "Items the dispatcher waited on a full shard ring or arena for",
+          "cause=\"arena\"")),
       flows_active(registry_->gauge(
           "vpscope_flows_active", "Flows currently tracked per shard")),
       shards_bypassed(registry_->gauge(
@@ -95,13 +103,16 @@ PipelineObs::PipelineObs(int n_shards, ObsConfig config)
           config_.span_ring_capacity, config_.span_sample_n, i));
   }
   // Derived stranded gauge: per shard, the packets the dispatcher handed
-  // over that the worker has not yet finished. Exact once the dispatcher
-  // is quiescent (drained or wedged); transiently includes in-flight items
-  // when scraped mid-dispatch, which keeps the identity an equality.
+  // over that the worker has not yet finished (completed, or rejected at
+  // decode and counted non-IP at the worker's slot). Exact once the
+  // dispatcher is quiescent (drained or wedged); transiently includes
+  // in-flight items when scraped mid-dispatch, which keeps the identity an
+  // equality.
   registry_->add_collect_hook([this] {
     for (int i = 0; i < n_shards_; ++i) {
       const std::uint64_t done =
-          packets_completed.value(i, std::memory_order_acquire);
+          packets_completed.value(i, std::memory_order_acquire) +
+          packets_non_ip.value(i, std::memory_order_acquire);
       const std::uint64_t sent = packets_enqueued.value(i);
       packets_stranded.set(
           i, sent > done ? static_cast<std::int64_t>(sent - done) : 0);

@@ -144,6 +144,10 @@ class PipelineObs {
   // ---- batching (DESIGN.md §5g) ----
   Counter& dispatch_batches;  // bulk handovers from the dispatcher
   Counter& worker_batches;    // bulk drains by shard workers
+  /// Packets the dispatcher had to wait for, by what was full: the shard
+  /// ring {cause="ring"} or the shard's datagram arena {cause="arena"}.
+  Counter& dispatch_waits_ring;
+  Counter& dispatch_waits_arena;
 
   // ---- gauges ----
   Gauge& flows_active;      // per-slot flow-table sizes

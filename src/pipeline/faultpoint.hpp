@@ -15,6 +15,11 @@
 //     whenever the hits of that point are ordered (each point below is only
 //     reached from a single thread per pipeline object).
 //
+//     The same build carries one observation tap: VPSCOPE_DATAGRAM_TAP
+//     hands each datagram a sharded worker is about to decode to a
+//     test-installed function, so a test can check the bytes that crossed
+//     the shard arena.
+//
 //  2. Harness-side stream mangling. PacketMangler rewrites a packet vector
 //     the way a hostile capture feed would — duplicates, drops, bounded
 //     reorders, and backwards timestamp warps — from a seeded schedule, so
@@ -104,6 +109,17 @@ class Registry {
     return state(point).fires.load(std::memory_order_relaxed);
   }
 
+  /// Observation tap (see the header comment); nullptr uninstalls. The
+  /// function runs on worker threads and must be thread-safe.
+  using DatagramTap = void (*)(int shard, ByteView datagram);
+  void set_datagram_tap(DatagramTap tap) {
+    datagram_tap_.store(tap, std::memory_order_release);
+  }
+  void tap_datagram(int shard, ByteView datagram) const {
+    if (const DatagramTap tap = datagram_tap_.load(std::memory_order_acquire))
+      tap(shard, datagram);
+  }
+
   /// Called by instrumented code at every pass through the point.
   void act(Point point) {
     State& s = state(point);
@@ -148,6 +164,7 @@ class Registry {
   }
 
   std::array<State, static_cast<std::size_t>(Point::kCount)> states_;
+  std::atomic<DatagramTap> datagram_tap_{nullptr};
 };
 
 /// RAII arm/disarm for one test scope.
@@ -223,6 +240,9 @@ class PacketMangler {
 #if defined(VPSCOPE_FAULT_INJECTION) && VPSCOPE_FAULT_INJECTION
 #define VPSCOPE_FAULTPOINT(point) \
   ::vpscope::pipeline::fault::Registry::instance().act(point)
+#define VPSCOPE_DATAGRAM_TAP(shard, datagram) \
+  ::vpscope::pipeline::fault::Registry::instance().tap_datagram(shard, datagram)
 #else
 #define VPSCOPE_FAULTPOINT(point) ((void)0)
+#define VPSCOPE_DATAGRAM_TAP(shard, datagram) ((void)0)
 #endif

@@ -176,7 +176,7 @@ void VideoFlowPipeline::on_packet(const net::Packet& packet) {
   maybe_adopt_generation();
   obs_->packets_total.add(slot_);
   // Span timeline starts at decode in the single-threaded front-end (no
-  // dispatcher): the Parse span is the root of this packet's chain.
+  // dispatcher): the Parse span, when recorded, roots this packet's chain.
   std::uint64_t t_parse = 0;
   if (span_ring_) t_parse = obs::tick_now_ns();
   std::optional<net::DecodedPacket> decoded;
@@ -188,15 +188,16 @@ void VideoFlowPipeline::on_packet(const net::Packet& packet) {
     obs_->packets_non_ip.add(slot_);  // rejected at decode = fully handled
     return;
   }
-  if (span_ring_) {
-    const std::uint64_t hash = net::FlowKeyHash{}(decoded->flow_key());
-    if (span_ring_->sampled(hash))
-      packet_span_parent_ =
-          span_ring_->record(obs::SpanKind::Parse, hash, 0, t_parse,
-                             obs::tick_now_ns(), adopted_model_gen_);
+  // The Parse span itself is recorded by on_decoded, once the flow state
+  // shows whether the flow still needs one.
+  if (span_ring_ &&
+      span_ring_->sampled(net::FlowKeyHash{}(decoded->flow_key()))) {
+    parse_start_ns_ = t_parse;
+    parse_end_ns_ = obs::tick_now_ns();
   }
   obs_->packets_completed.add(slot_);
   on_decoded(*decoded);
+  parse_start_ns_ = 0;
 }
 
 void VideoFlowPipeline::touch_lru(FlowState& state) {
@@ -294,9 +295,19 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
   // the flow's last recorded span when the packet itself was unsampled
   // upstream (spans sample by flow, so the chain stays within one flow).
   obs::SpanScratch* spans = nullptr;
-  if (span_ring_ && state.traced) {
-    const std::uint64_t pkt_parent = packet_span_parent_;
-    packet_span_parent_ = 0;
+  std::uint64_t pkt_parent = packet_span_parent_;
+  packet_span_parent_ = 0;
+  // Parse/Extract spans only for packets that can still advance the flow's
+  // handshake: a payload packet — after the verdict, or of a flow seen
+  // mid-stream or whose extraction failed — only bumps counters, and a span
+  // per such packet would overwrite the flows' lifecycle instants in the
+  // bounded ring.
+  if (span_ring_ && state.traced && !state.prediction &&
+      !state.classify_pending && state.extractor.wants(decoded)) {
+    if (parse_start_ns_ != 0)
+      pkt_parent = span_ring_->record(obs::SpanKind::Parse, state.flow_hash,
+                                      0, parse_start_ns_, parse_end_ns_,
+                                      adopted_model_gen_);
     span_scratch_.ring = span_ring_;
     span_scratch_.flow_hash = state.flow_hash;
     span_scratch_.parent = pkt_parent != 0 ? pkt_parent : state.span_last;
@@ -306,10 +317,7 @@ void VideoFlowPipeline::on_decoded(const net::DecodedPacket& decoded) {
   }
 
   // Handshake path: feed until complete, then detect provider + classify.
-  if (state.prediction || state.classify_pending) {
-    if (spans) state.span_last = span_scratch_.parent;
-    return;
-  }
+  if (state.prediction || state.classify_pending) return;
   bool fed;
   {
     obs::ScopedTimer timer(&obs_->profiler, obs::Stage::Extract, slot_);

@@ -133,16 +133,12 @@ class VideoFlowPipeline {
   /// sharded workers call it at batch boundaries and while parked.
   void maybe_adopt_generation();
 
-  /// Feeds one captured packet. The rvalue form exists so generic
-  /// front-ends (capture::replay_into) can move-ingest into either pipeline;
-  /// this single-threaded pipeline parses in place and never stores the
-  /// packet, so it simply forwards.
+  /// Feeds one captured packet; parsed in place, never stored.
   void on_packet(const net::Packet& packet);
-  void on_packet(net::Packet&& packet) { on_packet(packet); }
 
-  /// Feeds an already-decoded packet (the sharded front-end decodes once at
-  /// dispatch time). Does NOT bump packets_total/packets_non_ip — the caller
-  /// that performed the decode accounts for those.
+  /// Feeds an already-decoded packet (a sharded worker decodes from its
+  /// arena). Does NOT bump packets_total/packets_non_ip — the caller that
+  /// performed the decode accounts for those.
   void on_decoded(const net::DecodedPacket& decoded);
 
   /// Decimated payload ingestion for large-scale simulation: accounts
@@ -292,6 +288,11 @@ class VideoFlowPipeline {
   obs::SpanScratch span_scratch_;
   /// See set_packet_span_parent.
   std::uint64_t packet_span_parent_ = 0;
+  /// Decode window of the packet on_packet is feeding to on_decoded, set
+  /// for span-sampled flows only (0 = none); on_decoded turns it into a
+  /// Parse span while the flow's handshake is open.
+  std::uint64_t parse_start_ns_ = 0;
+  std::uint64_t parse_end_ns_ = 0;
   int slot_ = 0;
 };
 

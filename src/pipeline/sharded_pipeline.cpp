@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -63,6 +64,19 @@ std::uint64_t steady_now_us() {
 /// clock reads — covers the common momentary-full case for free.
 constexpr int kFreeSpins = 64;
 
+/// Arena bytes per ring slot: one Ethernet-MTU datagram (1,500 B) rounded
+/// up to a power of two, so `queue_capacity` full-size frames fit and the
+/// ring, not the arena, fills first on any capture without jumbo frames.
+constexpr std::size_t kArenaBytesPerSlot = 2048;
+
+/// Once the write cursor passes this far into the arena, the dispatcher
+/// restarts at the arena start as soon as the worker has caught up: a shard
+/// whose worker keeps up cycles through its first 256 KiB and stays
+/// cache-resident, and only a real backlog faults in (and streams through)
+/// the rest. 256 KiB kept perfbench's peak RSS at the parent's level, where
+/// 1 MiB added ~2 MB; full-frame throughput was the same (DESIGN.md §5b).
+constexpr std::size_t kArenaSoftExtent = std::size_t{1} << 18;
+
 }  // namespace
 
 AdmissionClass admission_class(const net::DecodedPacket& decoded) {
@@ -83,6 +97,20 @@ AdmissionClass admission_class(const net::DecodedPacket& decoded) {
       return AdmissionClass::Handshake;
   }
   return AdmissionClass::Payload;
+}
+
+ShardedPipeline::Shard::Shard(const ClassifierBank* bank,
+                              std::size_t queue_capacity,
+                              PipelineOptions flow_table)
+    : queue(queue_capacity), pipe(bank, flow_table) {
+  // Two maximal datagrams: a datagram that does not fit before the end
+  // skips to the start, so only then does an empty arena take any of them.
+  const std::size_t want = std::max(queue.capacity() * kArenaBytesPerSlot,
+                                    2 * net::kMaxDatagramBytes);
+  std::size_t bytes = 1;
+  while (bytes < want) bytes <<= 1;
+  arena.reset(new std::uint8_t[bytes]);  // uninitialized: pages fault in on use
+  arena_mask = bytes - 1;
 }
 
 ShardedPipeline::ShardedPipeline(const ClassifierBank* bank,
@@ -273,21 +301,94 @@ void ShardedPipeline::count_drop(AdmissionClass cls) {
                                       std::memory_order_release);
 }
 
-void ShardedPipeline::shed_staged(Item& item) {
+AdmissionClass ShardedPipeline::eval_admission_class(ByteView datagram) {
+  ++admission_class_evals_;
+  const auto decoded = net::decode(datagram, 0);
+  return decoded ? admission_class(*decoded) : AdmissionClass::Payload;
+}
+
+void ShardedPipeline::shed(ByteView datagram, std::uint64_t ts_us,
+                           std::uint64_t hash) {
   // The admission class is only evaluated here, at the moment a drop has to
   // be attributed — never on the Block-mode fast path.
-  const AdmissionClass cls = eval_admission_class(*item.decoded);
+  const AdmissionClass cls = eval_admission_class(datagram);
   count_drop(cls);
-  const std::uint64_t hash = net::FlowKeyHash{}(item.decoded->flow_key());
   if (obs_->span_sampled(hash)) {
     obs::Span instant;
     instant.kind = obs::SpanKind::Shed;
     instant.flow_hash = hash;
-    instant.ts_us = item.decoded->timestamp_us;
+    instant.ts_us = ts_us;
     instant.detail = static_cast<std::uint32_t>(cls);
     obs_->span_ring(obs_->dispatcher_slot())->record_instant(instant);
   }
-  item = Item{};  // release the packet buffer
+}
+
+bool ShardedPipeline::try_reserve(Shard& shard, std::size_t len,
+                                  std::uint64_t* offset) {
+  const std::uint64_t cap = shard.arena_mask + 1;
+  std::uint64_t start = shard.arena_head;
+  const std::uint64_t pos = start & shard.arena_mask;
+  if (pos + len > cap) {
+    // Every datagram is contiguous: when the tail is too short, skip to the
+    // start (the skipped bytes are released with the next item).
+    start = (start | shard.arena_mask) + 1;
+  } else if (pos >= kArenaSoftExtent) {
+    // Past the soft extent: restart at the arena start once the worker has
+    // released every item handed to it, if the staged bytes leave room.
+    shard.arena_released_seen =
+        shard.arena_released.load(std::memory_order_acquire);
+    if (shard.arena_released_seen == shard.arena_committed &&
+        start - shard.arena_released_seen + len <= pos)
+      start = (start | shard.arena_mask) + 1;
+  }
+  if (start + len - shard.arena_released_seen > cap) {
+    shard.arena_released_seen =
+        shard.arena_released.load(std::memory_order_acquire);
+    if (start + len - shard.arena_released_seen > cap) return false;
+  }
+  shard.arena_head = start + len;
+  *offset = start;
+  return true;
+}
+
+ShardedPipeline::Admission ShardedPipeline::reserve(Shard& shard,
+                                                    std::size_t len,
+                                                    ByteView datagram,
+                                                    std::uint64_t* offset) {
+  if (try_reserve(shard, len, offset)) return Admission::Enqueued;
+  obs_->dispatch_waits_arena.add(obs_->dispatcher_slot());
+  // The worker frees arena bytes only for items it has popped: hand it the
+  // staged ones before waiting on it.
+  flush_shard(shard);
+  const bool shed_mode =
+      options_.overload == ShardedPipelineOptions::Overload::Shed;
+  bool have_grace = false;
+  std::uint64_t grace = 0;
+  std::uint64_t wait_started = 0;
+  int spins = 0;
+  for (;;) {
+    if (shard.bypassed.load(std::memory_order_relaxed))
+      return Admission::Bypassed;
+    if (try_reserve(shard, len, offset)) {
+      shard.watchdog_stall_started_us = 0;  // the arena made room: not stuck
+      return Admission::Enqueued;
+    }
+    if (++spins < kFreeSpins) {
+      cpu_relax();
+      continue;
+    }
+    const std::uint64_t now = steady_now_us();
+    if (wait_started == 0) wait_started = now;
+    if (watchdog_check(shard)) return Admission::Bypassed;
+    if (shed_mode) {
+      if (!have_grace) {
+        grace = grace_us(eval_admission_class(datagram));
+        have_grace = true;
+      }
+      if (now - wait_started >= grace) return Admission::Shed;
+    }
+    std::this_thread::yield();
+  }
 }
 
 void ShardedPipeline::flush_shard(Shard& shard) {
@@ -315,6 +416,8 @@ void ShardedPipeline::flush_shard(Shard& shard) {
       obs_->packets_enqueued.add(shard.index, pushed,
                                  std::memory_order_release);
       done += pushed;
+      const Item& last = shard.staged[done - 1];
+      shard.arena_committed = last.offset + last.len;
     }
     // Slow path: the ring is full. Per item, the PR-4 bounded-wait policy:
     // Block waits (watchdog escape only), Shed waits out the class grace.
@@ -333,6 +436,7 @@ void ShardedPipeline::flush_shard(Shard& shard) {
           pushed = true;
           break;
         }
+        if (spins == 0) obs_->dispatch_waits_ring.add(dslot);
         if (++spins < kFreeSpins) {
           cpu_relax();
           continue;
@@ -345,10 +449,8 @@ void ShardedPipeline::flush_shard(Shard& shard) {
         }
         if (shed_mode) {
           if (!have_grace) {
-            grace = eval_admission_class(*item.decoded) ==
-                            AdmissionClass::Handshake
-                        ? options_.handshake_grace_us
-                        : options_.payload_grace_us;
+            grace = grace_us(eval_admission_class(
+                {arena_at(shard, item.offset), item.len}));
             have_grace = true;
           }
           if (now - wait_started >= grace) break;  // shed this packet
@@ -359,15 +461,19 @@ void ShardedPipeline::flush_shard(Shard& shard) {
         shard.watchdog_stall_started_us = 0;
         shard.enqueued.fetch_add(1, std::memory_order_release);
         obs_->packets_enqueued.add(shard.index, 1, std::memory_order_release);
+        shard.arena_committed = item.offset + item.len;
         continue;
       }
       if (bypassed) break;       // remainder shed below
-      shed_staged(item);  // grace expired
+      shed_staged(shard, item);  // grace expired
     }
   }
   // Bypassed shard (on entry or flipped mid-flush): shed the remainder.
-  for (; done < n; ++done) shed_staged(shard.staged[done]);
+  for (; done < n; ++done) shed_staged(shard, shard.staged[done]);
   shard.staged.clear();
+  // Reservations past the last handed-over item belong to shed packets; a
+  // shed packet before it is released when the worker passes that item.
+  shard.arena_head = shard.arena_committed;
 }
 
 void ShardedPipeline::flush_staged() {
@@ -375,17 +481,16 @@ void ShardedPipeline::flush_staged() {
 }
 
 ShardedPipeline::Admission ShardedPipeline::enqueue(Shard& shard, Item&& item,
-                                                    AdmissionClass cls,
                                                     bool control) {
   if (shard.bypassed.load(std::memory_order_relaxed))
     return Admission::Bypassed;
   const Item::Kind kind = item.kind;
   if (!shard.queue.try_push(item)) {
+    obs_->dispatch_waits_ring.add(obs_->dispatcher_slot());
+    // Only volume samples are not control traffic; they are payload class.
     const bool shed =
         !control && options_.overload == ShardedPipelineOptions::Overload::Shed;
-    const std::uint64_t grace = cls == AdmissionClass::Handshake
-                                    ? options_.handshake_grace_us
-                                    : options_.payload_grace_us;
+    const std::uint64_t grace = options_.payload_grace_us;
     std::uint64_t wait_started = 0;
     int spins = 0;
     for (;;) {
@@ -409,58 +514,42 @@ ShardedPipeline::Admission ShardedPipeline::enqueue(Shard& shard, Item&& item,
   return Admission::Enqueued;
 }
 
-void ShardedPipeline::broadcast(Item::Kind kind, std::uint64_t arg0,
-                                std::uint64_t arg1) {
+void ShardedPipeline::broadcast(const Item& control) {
   // Control items are ordered with the packets that preceded them only if
   // those packets are already in the rings.
   flush_staged();
-  for (auto& shard : shards_) {
-    // Control traffic never sheds, but it skips bypassed shards — their
-    // flows are unreachable until the worker recovers.
-    Item item;
-    item.kind = kind;
-    item.arg0 = arg0;
-    item.arg1 = arg1;
-    enqueue(*shard, std::move(item), AdmissionClass::Handshake,
-            /*control=*/true);
-  }
+  // Control traffic never sheds, but it skips bypassed shards — their flows
+  // are unreachable until the worker recovers.
+  for (auto& shard : shards_)
+    enqueue(*shard, Item(control), /*control=*/true);
 }
 
 void ShardedPipeline::on_packet(const net::Packet& packet) {
-  on_packet(net::Packet(packet));  // one copy; the shard owns its bytes
-}
-
-void ShardedPipeline::on_packet(net::Packet&& packet) {
   check_dispatcher_thread();
   const int dslot = obs_->dispatcher_slot();
   obs_->packets_total.add(dslot);
-  // Span timeline (DESIGN.md §5k): clock reads are deferred until the flow
-  // hash is known, so the 63-in-64 unsampled packets pay one branch and
-  // zero reads. The cost is span fidelity on sampled flows: decode time
-  // lands inside the Capture span (mark_capture_start to post-decode)
-  // rather than the Dispatch span — per-stage timing belongs to the
-  // profiler's histograms, spans carry causality and queueing.
-  const bool spanning = obs_->spans_enabled();
-  Item item;
-  item.kind = Item::Kind::Packet;
-  item.packet = std::move(packet);
-  {
-    obs::ScopedTimer timer(&obs_->profiler, obs::Stage::Parse, dslot);
-    item.decoded = net::decode(item.packet);
-  }
-  if (!item.decoded) {
-    obs_->packets_non_ip.add(dslot);  // rejected at decode = handled
+  // Routing reads fixed header offsets only; the worker decodes. A datagram
+  // that routes but does not decode is counted non-IP by the worker.
+  const ByteView datagram{packet.data};
+  const std::optional<net::FlowKey> key = net::flow_key_of(datagram);
+  if (!key) {
+    obs_->packets_non_ip.add(dslot);  // rejected at routing = handled
     capture_mark_ns_ = 0;
-    maybe_export();
-    maybe_poll_lifecycle();
+    after_packet();
     return;
   }
-  // Stage for the next bulk handover. The admission class is NOT computed
-  // here: under Block-mode dispatch no decision ever needs it, and the shed
-  // paths evaluate it lazily at drop time (shed_staged / the grace wait).
-  const std::uint64_t hash = net::FlowKeyHash{}(item.decoded->flow_key());
+  const std::uint64_t hash = net::FlowKeyHash{}(*key);
   Shard& shard = *shards_[hash % shards_.size()];
-  if (spanning) {
+  Item item;
+  item.kind = Item::Kind::Packet;
+  item.len = static_cast<std::uint32_t>(datagram.size());
+  item.ts_us = packet.timestamp_us;
+  item.hash = hash;
+  // Span timeline (DESIGN.md §5k): clock reads are deferred until the flow
+  // hash is known, so the 63-in-64 unsampled packets pay one branch and
+  // zero reads. Routing lands inside the Capture span (mark_capture_start
+  // to post-route); decoding happens on the worker after its Queue span.
+  if (obs_->spans_enabled()) {
     if (obs_->span_sampled(hash)) {
       obs::SpanRing& dring = *obs_->span_ring(dslot);
       std::uint64_t parent = 0;
@@ -475,14 +564,27 @@ void ShardedPipeline::on_packet(net::Packet&& packet) {
     }
     capture_mark_ns_ = 0;
   }
-  shard.staged.push_back(std::move(item));
+  // A full arena backs up or sheds like a full ring; a bypassed shard takes
+  // nothing. The admission class is NOT computed here: under Block-mode
+  // dispatch no decision ever needs it, and the shed paths evaluate it
+  // lazily at drop time.
+  const Admission admission =
+      shard.bypassed.load(std::memory_order_relaxed)
+          ? Admission::Bypassed
+          : reserve(shard, datagram.size(), datagram, &item.offset);
+  if (admission != Admission::Enqueued) {
+    shed(datagram, packet.timestamp_us, hash);
+    after_packet();
+    return;
+  }
+  std::memcpy(arena_at(shard, item.offset), datagram.data(), datagram.size());
+  shard.staged.push_back(item);
   // Release pairs with snapshot()'s acquire gauge read: a snapshot that
   // sees the staged packet is guaranteed to see its packets_total
   // increment too (read last there), keeping accounted <= total.
   obs_->packets_staged.add(dslot, 1, std::memory_order_release);
   if (shard.staged.size() >= options_.batch_size) flush_shard(shard);
-  maybe_export();
-  maybe_poll_lifecycle();
+  after_packet();
 }
 
 void ShardedPipeline::on_volume_sample(const net::FlowKey& key,
@@ -496,25 +598,39 @@ void ShardedPipeline::on_volume_sample(const net::FlowKey& key,
   flush_shard(shard);
   Item item;
   item.kind = Item::Kind::Volume;
-  item.key = key;
-  item.arg0 = ts_us;
-  item.arg1 = bytes_down;
-  item.arg2 = bytes_up;
-  if (enqueue(shard, std::move(item), AdmissionClass::Payload,
-              /*control=*/false) != Admission::Enqueued)
-    obs_->volume_samples_dropped.add(obs_->dispatcher_slot());
+  item.len = sizeof(VolumeSample);
+  bool delivered = false;
+  if (!shard.bypassed.load(std::memory_order_relaxed) &&
+      reserve(shard, item.len, {}, &item.offset) == Admission::Enqueued) {
+    const VolumeSample sample{key, ts_us, bytes_down, bytes_up};
+    std::memcpy(arena_at(shard, item.offset), &sample, sizeof(sample));
+    delivered =
+        enqueue(shard, std::move(item), /*control=*/false) ==
+        Admission::Enqueued;
+    if (delivered)
+      shard.arena_committed = shard.arena_head;
+    else
+      shard.arena_head = shard.arena_committed;
+  }
+  if (!delivered) obs_->volume_samples_dropped.add(obs_->dispatcher_slot());
 }
 
 void ShardedPipeline::flush_idle(std::uint64_t now_us,
                                  std::uint64_t idle_timeout_us) {
   check_dispatcher_thread();
-  broadcast(Item::Kind::FlushIdle, now_us, idle_timeout_us);
+  Item item;
+  item.kind = Item::Kind::FlushIdle;
+  item.ts_us = now_us;
+  item.idle_timeout_us = idle_timeout_us;
+  broadcast(item);
   drain();
 }
 
 void ShardedPipeline::flush_all() {
   check_dispatcher_thread();
-  broadcast(Item::Kind::FlushAll);
+  Item item;
+  item.kind = Item::Kind::FlushAll;
+  broadcast(item);
   drain();
   if (exporter_) exporter_->export_now();  // final snapshot at end of capture
 }
@@ -559,27 +675,34 @@ PipelineStats ShardedPipeline::snapshot() const {
   // the worker publishes per item, not flow-table state.
   const obs::PipelineObs& o = *obs_;
   PipelineStats s;
-  s.packets_non_ip = o.packets_non_ip.total();
   s.flows_total = o.flows_total.total();
   s.video_flows = o.video_flows.total();
   s.classified_composite = o.classified_composite.total();
   s.classified_partial = o.classified_partial.total();
   s.classified_unknown = o.classified_unknown.total();
-  std::uint64_t completed_sum = 0;
+  // Non-IP packets are rejected at routing (dispatcher slot) or, when they
+  // route but do not decode, by the worker (its own slot).
+  const std::uint64_t unrouted = o.packets_non_ip.value(o.dispatcher_slot());
+  std::uint64_t finished = 0;
+  std::uint64_t non_ip = unrouted;
   std::uint64_t stranded = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const int slot = static_cast<int>(i);
-    // One acquire load feeds both processed and stranded, keeping the
-    // identity an exact equality; the release pair is the worker's
-    // per-batch completed increment.
+    // One acquire load of each worker counter feeds both processed and
+    // stranded, keeping the identity an exact equality; the release pair is
+    // the worker's per-batch increment.
+    const std::uint64_t rejected =
+        o.packets_non_ip.value(slot, std::memory_order_acquire);
     const std::uint64_t done =
-        o.packets_completed.value(slot, std::memory_order_acquire);
-    completed_sum += done;
+        o.packets_completed.value(slot, std::memory_order_acquire) + rejected;
+    finished += done;
+    non_ip += rejected;
     const std::uint64_t sent =
         o.packets_enqueued.value(slot, std::memory_order_acquire);
     if (sent > done) stranded += sent - done;
   }
-  s.packets_processed = completed_sum + s.packets_non_ip;
+  s.packets_non_ip = non_ip;
+  s.packets_processed = finished + unrouted;
   s.packets_dropped_payload =
       o.packets_dropped_payload.total(std::memory_order_acquire);
   s.packets_dropped_handshake =
@@ -633,6 +756,11 @@ int ShardedPipeline::reactivate_recovered_shards() {
     ++recovered;
   }
   return recovered;
+}
+
+std::uint64_t ShardedPipeline::arena_bytes_in_use(int shard) const {
+  const Shard& s = *shards_.at(static_cast<std::size_t>(shard));
+  return s.arena_head - s.arena_released.load(std::memory_order_acquire);
 }
 
 int ShardedPipeline::bypassed_shards() const {
@@ -764,43 +892,59 @@ void ShardedPipeline::worker_loop(Shard& shard) {
     }
     obs_->worker_batches.add(shard.index);
     std::uint64_t packet_items = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t release_to = 0;  // arena end of the batch's last item
     bool stop = false;
     for (std::size_t i = 0; i < got; ++i) {
-      Item& item = batch[i];
-      const Item::Kind kind = item.kind;
+      const Item& item = batch[i];
       // Contain everything thrown out of item processing: a worker that
       // escapes its loop would std::terminate the process. Sink exceptions
       // are already absorbed (and counted) inside VideoFlowPipeline; this
       // catches injected faults and anything unforeseen.
       try {
-        switch (kind) {
-          case Item::Kind::Packet:
+        switch (item.kind) {
+          case Item::Kind::Packet: {
+            release_to = item.offset + item.len;
             VPSCOPE_FAULTPOINT(fault::Point::WorkerItem);
             // Span-sampled packet (one branch otherwise): the Queue span is
             // the staging + ring residency — Dispatch handover to worker
             // pop — recorded in THIS shard's ring, parented on the
             // dispatcher's Dispatch span; the pipeline chains the flow's
             // Extract/Encode/Classify spans onto it.
+            std::uint64_t queue_span = 0;
             if (item.span_parent != 0) {
               if (obs::SpanRing* sring = obs_->span_ring(shard.index))
-                shard.pipe.set_packet_span_parent(sring->record(
-                    obs::SpanKind::Queue,
-                    net::FlowKeyHash{}(item.decoded->flow_key()),
-                    item.span_parent, item.enqueue_ns, obs::tick_now_ns(),
-                    0));
+                queue_span = sring->record(obs::SpanKind::Queue, item.hash,
+                                           item.span_parent, item.enqueue_ns,
+                                           obs::tick_now_ns(), 0);
             }
-            shard.pipe.on_decoded(*item.decoded);
-            // Release the packet buffer before signalling completion so
-            // drain() observers never race the deallocation.
-            item = Item{};
+            const ByteView datagram{arena_at(shard, item.offset), item.len};
+            VPSCOPE_DATAGRAM_TAP(shard.index, datagram);
+            std::optional<net::DecodedPacket> decoded;
+            {
+              obs::ScopedTimer timer(&obs_->profiler, obs::Stage::Parse,
+                                     shard.index);
+              decoded = net::decode(datagram, item.ts_us);
+            }
+            if (!decoded) {
+              ++rejected;  // routed, but rejected at decode = handled
+              break;
+            }
+            if (queue_span != 0) shard.pipe.set_packet_span_parent(queue_span);
+            shard.pipe.on_decoded(*decoded);
             break;
-          case Item::Kind::Volume:
+          }
+          case Item::Kind::Volume: {
+            release_to = item.offset + item.len;
             VPSCOPE_FAULTPOINT(fault::Point::WorkerItem);
-            shard.pipe.on_volume_sample(item.key, item.arg0, item.arg1,
-                                        item.arg2);
+            VolumeSample sample;
+            std::memcpy(&sample, arena_at(shard, item.offset), sizeof(sample));
+            shard.pipe.on_volume_sample(sample.key, sample.ts_us,
+                                        sample.bytes_down, sample.bytes_up);
             break;
+          }
           case Item::Kind::FlushIdle:
-            shard.pipe.flush_idle(item.arg0, item.arg1);
+            shard.pipe.flush_idle(item.ts_us, item.idle_timeout_us);
             break;
           case Item::Kind::FlushAll:
             shard.pipe.flush_all();
@@ -811,15 +955,22 @@ void ShardedPipeline::worker_loop(Shard& shard) {
         }
       } catch (...) {
         obs_->worker_errors.add(shard.index);
-        item = Item{};  // release buffers even on a failed item
       }
-      if (kind == Item::Kind::Packet) ++packet_items;
+      if (item.kind == Item::Kind::Packet) ++packet_items;
     }
-    // Completed (even on contained errors) — published once per batch; the
+    // The batch is done with its arena bytes: one release store hands them
+    // back to the dispatcher (arena FIFO = ring FIFO, so the last item's end
+    // covers every earlier item and any wrap padding).
+    if (release_to != 0)
+      shard.arena_released.store(release_to, std::memory_order_release);
+    // Finished (even on contained errors) — published once per batch; the
     // release pairs with the acquire in snapshot(), making the shard's
     // registry writes for the whole batch visible.
-    if (packet_items != 0)
-      obs_->packets_completed.add(shard.index, packet_items,
+    if (rejected != 0)
+      obs_->packets_non_ip.add(shard.index, rejected,
+                               std::memory_order_release);
+    if (packet_items != rejected)
+      obs_->packets_completed.add(shard.index, packet_items - rejected,
                                   std::memory_order_release);
     shard.processed.fetch_add(got, std::memory_order_release);
     if (stop) return;

@@ -1,16 +1,21 @@
 // Multi-core front-end for the Fig. 4 pipeline: N worker threads, each
-// owning one VideoFlowPipeline shard. The dispatch thread decodes each
-// packet once, hashes its canonical FlowKey, and hands it to shard
-// `hash % n_shards` through a bounded SPSC ring. Because a flow always
-// hashes to the same shard and each ring is FIFO, per-flow packet ordering
-// is preserved by construction — the property the paper's 8-core DPDK
-// deployment (§5.1) relies on when it fans 20 Gbit/s across cores.
+// owning one VideoFlowPipeline shard. The dispatch thread does only what
+// routing needs: it reads the canonical FlowKey from fixed header offsets
+// (net::flow_key_of), hashes it, copies the datagram into shard
+// `hash % n_shards`'s byte arena and hands the shard a compact item
+// (timestamp, hash, arena offset and length) through a bounded SPSC ring.
+// The worker decodes from the arena and returns the bytes by publishing a
+// released-byte cursor once per popped batch, so no packet buffer crosses
+// threads through the heap. Because a flow always hashes to the same shard
+// and each ring and arena is FIFO, per-flow packet ordering is preserved by
+// construction — the property the paper's 8-core DPDK deployment (§5.1)
+// relies on when it fans 20 Gbit/s across cores.
 //
-// Overload control (DESIGN.md §5e): when a shard's ring is full the
-// dispatcher applies the configured admission policy instead of buffering
-// unboundedly. `Overload::Block` (default) waits for space — lossless, the
-// pre-overload-layer behaviour. `Overload::Shed` waits only a bounded
-// grace per packet class and then drops: handshake-bearing packets
+// Overload control (DESIGN.md §5e): when a shard's ring or arena is full
+// the dispatcher applies the configured admission policy instead of
+// buffering unboundedly. `Overload::Block` (default) waits for space —
+// lossless, the pre-overload-layer behaviour. `Overload::Shed` waits only a
+// bounded grace per packet class and then drops: handshake-bearing packets
 // (SYN / TLS ClientHello record / QUIC Initial, classified at dispatch
 // time by `admission_class`) get the longest grace because one lost
 // handshake packet costs a classification, while a lost payload packet
@@ -29,7 +34,7 @@
 // shard once it has drained its backlog.
 //
 // Batched data plane (DESIGN.md §5g): the dispatcher stages up to
-// `batch_size` decoded packets per shard and hands them over through one
+// `batch_size` routed packets per shard and hands them over through one
 // bulk ring push (one release store per chunk instead of one per packet);
 // workers drain in bulk and defer classification across the batch
 // (PipelineOptions::classify_batch), resolving ready flows through the
@@ -89,8 +94,8 @@ enum class AdmissionClass : std::uint8_t {
   Payload,
 };
 
-/// Dispatch-time admission classification. Deliberately a cheap heuristic
-/// over the already-decoded headers — the dispatcher cannot afford parsing.
+/// Admission classification. Deliberately a cheap heuristic over decoded
+/// headers; the dispatcher decodes only when a shed decision needs it.
 AdmissionClass admission_class(const net::DecodedPacket& decoded);
 
 struct ShardedPipelineOptions {
@@ -99,7 +104,13 @@ struct ShardedPipelineOptions {
   int n_shards = 1;
   /// Per-shard ring capacity (rounded up to a power of two). Bounded by
   /// design: a slow shard exerts backpressure on the dispatcher instead of
-  /// buffering unboundedly.
+  /// buffering unboundedly. It also sizes the shard's datagram arena: 2 KiB
+  /// per ring slot (one Ethernet-MTU datagram, so the ring, not the arena,
+  /// fills first on traffic without jumbo frames), never less than two
+  /// maximal datagrams (so an empty arena takes any datagram wherever its
+  /// write cursor stands), rounded up to a power of two. While the worker
+  /// keeps up the dispatcher cycles through the arena's first 256 KiB, so
+  /// resident memory follows the backlog, not this bound (DESIGN.md §5b).
   std::size_t queue_capacity = 4096;
 
   /// Batched data plane (DESIGN.md §5g): packets staged per shard before a
@@ -198,12 +209,11 @@ class ShardedPipeline {
   /// dispatcher thread) and once more on flush_all().
   void set_exporter(obs::ExportOptions options);
 
-  /// Decodes, shards and enqueues one captured packet, applying the
-  /// configured admission policy when the target ring is full. The rvalue
-  /// overload moves the packet bytes straight into the shard item — the
-  /// zero-copy ingest the replay/live capture front-ends use.
+  /// Routes one captured packet and copies it into its shard's arena,
+  /// applying the configured admission policy when the target ring or
+  /// arena is full. The packet is not retained: the caller keeps (and
+  /// frees) its buffer on its own thread.
   void on_packet(const net::Packet& packet);
-  void on_packet(net::Packet&& packet);
 
   /// Routes a decimated volume sample to the owning shard (payload-class
   /// admission under Shed).
@@ -248,6 +258,11 @@ class ShardedPipeline {
   /// Shards currently in telemetry-only bypass.
   int bypassed_shards() const;
 
+  /// Arena bytes of shard `shard` not yet released by its worker: staged
+  /// and in-flight datagrams plus wrap padding. 0 once the shard is
+  /// quiescent with nothing staged. Dispatcher-thread-only.
+  std::uint64_t arena_bytes_in_use(int shard) const;
+
   /// How many times the dispatcher evaluated admission_class(). Lazy by
   /// design: zero under Block mode with no bypassed shard — the class only
   /// matters when a shed/bypass decision is actually being made.
@@ -290,6 +305,8 @@ class ShardedPipeline {
   void refresh_drift_gauges();
 
  private:
+  /// Ring item: 48 bytes of plain data. Packet bytes never ride the ring —
+  /// they sit in the shard arena at [offset, offset + len).
   struct Item {
     enum class Kind : std::uint8_t {
       Packet,
@@ -299,69 +316,114 @@ class ShardedPipeline {
       Stop,
     };
     Kind kind = Kind::Packet;
-    // Kind::Packet: the owned raw bytes plus the dispatch-time decode. The
-    // decoded views borrow from packet.data's heap buffer, which is stable
-    // across the moves in and out of the ring.
-    net::Packet packet;
-    std::optional<net::DecodedPacket> decoded;
-    // Kind::Volume: (key, ts, down, up). Kind::FlushIdle: (now, idle) in
-    // arg0/arg1.
-    net::FlowKey key;
-    std::uint64_t arg0 = 0, arg1 = 0, arg2 = 0;
-    // Kind::Packet, span-sampled flows only: the Dispatch span id the
-    // worker's Queue span parents onto, and the handover time that starts
-    // it. 0 = unsampled (workers skip all span work on one branch).
+    /// Packet: datagram length. Volume: sizeof(VolumeSample).
+    std::uint32_t len = 0;
+    /// Packet: capture timestamp. FlushIdle: now_us.
+    std::uint64_t ts_us = 0;
+    union {
+      /// Packet/Volume: arena cursor of the bytes.
+      std::uint64_t offset = 0;
+      /// FlushIdle: flows idle longer than this are flushed.
+      std::uint64_t idle_timeout_us;
+    };
+    /// Packet: FlowKeyHash of the routed key.
+    std::uint64_t hash = 0;
+    // Packet, span-sampled flows only: the Dispatch span id the worker's
+    // Queue span parents onto, and the handover time that starts it. 0 =
+    // unsampled (workers skip all span work on one branch).
     std::uint64_t span_parent = 0;
     std::uint64_t enqueue_ns = 0;
+  };
+  static_assert(sizeof(Item) == 48);
+
+  /// Arena payload of a Kind::Volume item.
+  struct VolumeSample {
+    net::FlowKey key;
+    std::uint64_t ts_us = 0, bytes_down = 0, bytes_up = 0;
   };
 
   struct Shard {
     Shard(const ClassifierBank* bank, std::size_t queue_capacity,
-          PipelineOptions flow_table)
-        : queue(queue_capacity), pipe(bank, flow_table) {}
+          PipelineOptions flow_table);
     SpscRing<Item> queue;
     VideoFlowPipeline pipe;
-    std::atomic<std::uint64_t> enqueued{0};   // all item kinds
-    std::atomic<std::uint64_t> processed{0};  // all item kinds
-    // Packet-item identity counters (enqueued/completed per packet) live on
-    // the registry: obs packets_enqueued / packets_completed at this
-    // shard's slot.
-    std::atomic<bool> bypassed{false};
+    /// FIFO byte arena: the dispatcher writes datagrams at monotonic
+    /// cursors (each one contiguous, skipping to the start when the tail is
+    /// too short), the worker reads them and publishes `arena_released`.
+    std::unique_ptr<std::uint8_t[]> arena;
+    std::uint64_t arena_mask = 0;
     std::thread worker;
     int index = 0;
     /// Worker-thread-owned drift monitor (ShardedPipelineOptions::drift);
     /// the dispatcher reads it only behind drain().
     std::unique_ptr<DriftMonitor> drift;
-    // ---- dispatcher-thread-only bookkeeping ----
+
+    // ---- dispatcher-written ----
+    alignas(64) std::atomic<std::uint64_t> enqueued{0};  // all item kinds
+    // Packet-item identity counters (enqueued/completed per packet) live on
+    // the registry: obs packets_enqueued / packets_completed at this
+    // shard's slot.
+    std::atomic<bool> bypassed{false};
     std::uint64_t watchdog_last_processed = 0;
     std::uint64_t watchdog_stall_started_us = 0;  // 0 = not currently stalled
-    /// Decoded packets awaiting the next bulk handover (DESIGN.md §5g);
+    /// Next free arena cursor, and the end of the last item handed to the
+    /// ring: reservations past `arena_committed` belong to staged items and
+    /// are rolled back when those are shed.
+    std::uint64_t arena_head = 0;
+    std::uint64_t arena_committed = 0;
+    /// Dispatcher's cached copy of arena_released.
+    std::uint64_t arena_released_seen = 0;
+    /// Routed packets awaiting the next bulk handover (DESIGN.md §5g);
     /// every staged packet is counted in the packets_staged gauge.
     std::vector<Item> staged;
+
+    // ---- worker-written, one cache line each ----
+    alignas(64) std::atomic<std::uint64_t> processed{0};  // all item kinds
+    /// Arena bytes below this cursor are free again (published per batch).
+    alignas(64) std::atomic<std::uint64_t> arena_released{0};
   };
 
-  /// Result of a bounded-wait enqueue attempt.
+  /// Result of a bounded-wait admission attempt.
   enum class Admission : std::uint8_t { Enqueued, Shed, Bypassed };
 
   /// `control` items (flushes) never shed: they wait for ring space with
   /// only the watchdog as an escape hatch.
-  Admission enqueue(Shard& shard, Item&& item, AdmissionClass cls,
-                    bool control);
+  Admission enqueue(Shard& shard, Item&& item, bool control);
+  /// Claims `len` contiguous arena bytes (non-blocking); false when full.
+  /// Restarts at the arena start once the cursor is past the soft extent
+  /// and the worker has released every handed-over item.
+  bool try_reserve(Shard& shard, std::size_t len, std::uint64_t* offset);
+  /// Claims arena bytes under the admission policy: flushes the shard's
+  /// staging first so the worker can free space, then waits like a full
+  /// ring (Block: watchdog escape only; Shed: the class grace of
+  /// `datagram`, evaluated lazily — an empty view is Payload).
+  Admission reserve(Shard& shard, std::size_t len, ByteView datagram,
+                    std::uint64_t* offset);
+  std::uint8_t* arena_at(const Shard& shard, std::uint64_t offset) const {
+    return shard.arena.get() + (offset & shard.arena_mask);
+  }
   /// Hands `shard`'s staging batch to its ring: bulk pushes while there is
   /// room, then the per-item bounded-wait admission policy (grace / shed /
-  /// watchdog) for whatever is left. Empties `shard.staged`.
+  /// watchdog) for whatever is left. Empties `shard.staged` and rolls the
+  /// arena back past any trailing shed reservations.
   void flush_shard(Shard& shard);
   /// Flushes every shard's staging (control broadcast / drain / teardown).
   void flush_staged();
-  /// Drops one staged packet: lazy admission class, drop counter, and a
-  /// shed instant when the flow is traced.
-  void shed_staged(Item& item);
-  AdmissionClass eval_admission_class(const net::DecodedPacket& decoded) {
-    ++admission_class_evals_;
-    return admission_class(decoded);
+  /// Drops one routed packet: lazy admission class (decoding `datagram`),
+  /// drop counter, and a shed instant when the flow is traced.
+  void shed(ByteView datagram, std::uint64_t ts_us, std::uint64_t hash);
+  void shed_staged(const Shard& shard, const Item& item) {
+    shed({arena_at(shard, item.offset), item.len}, item.ts_us, item.hash);
   }
-  void broadcast(Item::Kind kind, std::uint64_t arg0 = 0,
-                 std::uint64_t arg1 = 0);
+  /// Counted admission_class() of a datagram; Payload when it does not
+  /// decode (or is empty).
+  AdmissionClass eval_admission_class(ByteView datagram);
+  std::uint64_t grace_us(AdmissionClass cls) const {
+    return cls == AdmissionClass::Handshake ? options_.handshake_grace_us
+                                            : options_.payload_grace_us;
+  }
+  /// Flushes all staging, then hands `control` to every live shard.
+  void broadcast(const Item& control);
   void worker_loop(Shard& shard);
   /// Watchdog bookkeeping while the dispatcher waits on `shard`; returns
   /// true when the shard was just declared stuck and flipped to bypass.
@@ -372,6 +434,11 @@ class ShardedPipeline {
   void count_drop(AdmissionClass cls);
   bool quiescent(const Shard& shard) const;
   void check_dispatcher_thread();
+  /// Amortized exporter tick + lifecycle poll, once per dispatcher packet.
+  void after_packet() {
+    maybe_export();
+    maybe_poll_lifecycle();
+  }
   /// Amortized exporter tick from the dispatcher packet path.
   void maybe_export();
   /// Amortized lifecycle poll (canary judgement + generation reclamation)

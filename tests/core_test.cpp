@@ -338,5 +338,70 @@ TEST(HandshakeExtractor, RejectsNonTlsTcpPayload) {
   EXPECT_FALSE(extractor.complete());
 }
 
+// wants() is feed()'s header-only pre-check: exact for TCP, a superset for
+// QUIC (a look-alike Initial can still fail to decrypt), and false for
+// every packet of a flow seen mid-stream or whose extraction failed.
+TEST(HandshakeExtractor, WantsPrechecksFeed) {
+  Rng rng(8);
+  synth::FlowSynthesizer synth(rng);
+  for (const auto transport : {Transport::Tcp, Transport::Quic}) {
+    synth::FlowOptions opt;
+    opt.payload_bytes = 1'000'000;
+    opt.payload_duration_us = 1'000'000;
+    const auto flow = synth.synthesize(
+        fingerprint::make_profile({Os::Windows, Agent::Chrome},
+                                  Provider::YouTube, transport),
+        opt);
+    HandshakeExtractor whole;
+    HandshakeExtractor midstream;  // sees only packets without L4 payload
+    int wanted = 0;
+    for (std::size_t i = 0; i < flow.packets.size(); ++i) {
+      const auto d = net::decode(flow.packets[i]);
+      ASSERT_TRUE(d.has_value());
+      const bool wants = whole.wants(*d);
+      const bool fed = whole.feed(*d);
+      if (transport == Transport::Tcp)
+        EXPECT_EQ(wants, fed) << "packet " << i;
+      else
+        EXPECT_TRUE(wants || !fed) << "packet " << i;
+      wanted += wants ? 1 : 0;
+      if (d->payload.empty() && !(d->tcp && d->tcp->flags.syn)) {
+        EXPECT_FALSE(midstream.wants(*d)) << "packet " << i;
+        EXPECT_FALSE(midstream.feed(*d)) << "packet " << i;
+      }
+    }
+    EXPECT_TRUE(whole.complete());
+    EXPECT_GT(wanted, 0);
+    EXPECT_LT(wanted, 8) << "payload packets wanted";
+  }
+
+  // Client data that never parses as a ClientHello: wanted until the
+  // extractor gives up past 16 KiB, then never again.
+  net::TcpHeader syn;
+  syn.src_port = 50000;
+  syn.dst_port = 443;
+  syn.flags.syn = true;
+  net::Ipv4Header ip;
+  ip.src = net::IpAddr::v4(10, 0, 0, 1);
+  ip.dst = net::IpAddr::v4(1, 1, 1, 1);
+  HandshakeExtractor extractor;
+  const auto syn_pkt = net::decode(net::Packet{0, ip.serialize(syn.serialize({}))});
+  ASSERT_TRUE(extractor.wants(*syn_pkt));
+  extractor.feed(*syn_pkt);
+  EXPECT_FALSE(extractor.wants(*syn_pkt)) << "retransmitted SYN";
+  net::TcpHeader data = syn;
+  data.flags.syn = false;
+  data.flags.ack = true;
+  const auto garbage =
+      net::decode(net::Packet{1, ip.serialize(data.serialize(Bytes(1000, 0x55)))});
+  int accepted = 0;
+  while (extractor.wants(*garbage) && accepted < 100) {
+    EXPECT_TRUE(extractor.feed(*garbage));
+    ++accepted;
+  }
+  EXPECT_EQ(accepted, 17);
+  EXPECT_FALSE(extractor.complete());
+}
+
 }  // namespace
 }  // namespace vpscope::core

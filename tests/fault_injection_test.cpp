@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -352,6 +354,235 @@ TEST_F(FaultInjectionTest, WatchdogBypassesStuckShardThenRecovers) {
   sharded.flush_all();
   expect_identity(sharded.stats(), "post-recovery feed");
   EXPECT_GT(store.size(), 0u);
+}
+
+// ---- shard arena stress (DESIGN.md §5b) ----
+
+// What the worker-side datagram tap saw, for the arena stress test below.
+std::atomic<std::uint64_t> g_tap_delivered{0};
+std::atomic<std::uint64_t> g_tap_corrupt{0};
+std::atomic<std::uint64_t> g_tap_repeated{0};
+std::array<std::atomic<std::uint8_t>, 65536> g_tap_seen{};
+// Lowest start and highest end address of the datagrams the tap saw.
+std::atomic<std::uintptr_t> g_tap_lo{UINTPTR_MAX};
+std::atomic<std::uintptr_t> g_tap_hi{0};
+
+void reset_tap() {
+  g_tap_delivered = 0;
+  g_tap_corrupt = 0;
+  g_tap_repeated = 0;
+  for (auto& seen : g_tap_seen) seen = 0;
+  g_tap_lo = UINTPTR_MAX;
+  g_tap_hi = 0;
+}
+
+/// IPv4 header checksum plus the UDP checksum over its pseudo header
+/// (RFC 768): a datagram that lost or gained any byte in the arena fails
+/// one of them.
+bool datagram_intact(ByteView d) {
+  if (d.size() < 28 || net::internet_checksum(d.first(20)) != 0) return false;
+  const std::uint32_t pseudo = (d[12] << 8 | d[13]) + (d[14] << 8 | d[15]) +
+                               (d[16] << 8 | d[17]) + (d[18] << 8 | d[19]) +
+                               net::kProtoUdp +
+                               static_cast<std::uint32_t>(d.size() - 20);
+  return net::internet_checksum(d.subspan(20), pseudo) == 0;
+}
+
+void arena_tap(int, ByteView d) {
+  g_tap_delivered.fetch_add(1);
+  const auto lo = reinterpret_cast<std::uintptr_t>(d.data());
+  for (auto seen = g_tap_lo.load(); lo < seen && !g_tap_lo.compare_exchange_weak(seen, lo);) {
+  }
+  for (auto seen = g_tap_hi.load();
+       lo + d.size() > seen && !g_tap_hi.compare_exchange_weak(seen, lo + d.size());) {
+  }
+  if (!datagram_intact(d)) {
+    g_tap_corrupt.fetch_add(1);
+    return;
+  }
+  const std::size_t id = static_cast<std::size_t>(d[4] << 8 | d[5]);
+  if (g_tap_seen[id].fetch_add(1) != 0) g_tap_repeated.fetch_add(1);
+}
+
+/// Datagram `id` of `len` bytes (20..65,535): below 28 B a bare IPv4 header
+/// that routing refuses, else UDP/443 from one of 64 client ports with the
+/// id in the IP identification field, random payload and valid checksums.
+net::Packet stress_datagram(std::uint16_t id, std::size_t len, Rng& rng) {
+  net::Ipv4Header ip;
+  ip.protocol = net::kProtoUdp;
+  ip.identification = id;
+  ip.src = net::IpAddr::v4(10, 9, 0, static_cast<std::uint8_t>(id % 7));
+  ip.dst = net::IpAddr::v4(192, 0, 2, 1);
+  ip.total_length = static_cast<std::uint16_t>(len);
+  net::Packet p;
+  p.timestamp_us = 1000 + id;
+  if (len < 28) {
+    p.data = ip.serialize(Bytes(len - 20, 0));
+    return p;
+  }
+  Bytes body(len - 28);
+  for (auto& b : body) b = static_cast<std::uint8_t>(rng.next_u32());
+  if (!body.empty()) body[0] = 0x40;  // short header: no QUIC Initial work
+  net::UdpHeader udp;
+  udp.src_port = static_cast<std::uint16_t>(40000 + id % 64);
+  udp.dst_port = 443;
+  p.data = ip.serialize(udp.serialize(body));
+  p.data[26] = p.data[27] = 0;
+  const std::uint32_t pseudo =
+      (p.data[12] << 8 | p.data[13]) + (p.data[14] << 8 | p.data[15]) +
+      (p.data[16] << 8 | p.data[17]) + (p.data[18] << 8 | p.data[19]) +
+      net::kProtoUdp + static_cast<std::uint32_t>(len - 20);
+  std::uint16_t sum = net::internet_checksum(ByteView{p.data}.subspan(20), pseudo);
+  if (sum == 0) sum = 0xffff;
+  p.data[26] = static_cast<std::uint8_t>(sum >> 8);
+  p.data[27] = static_cast<std::uint8_t>(sum);
+  return p;
+}
+
+struct TapGuard {
+  TapGuard() { fault::Registry::instance().set_datagram_tap(&arena_tap); }
+  ~TapGuard() { fault::Registry::instance().set_datagram_tap(nullptr); }
+};
+
+// Datagrams of 20 B to 65,535 B through 2 shards at ring sizes 4, 64 and
+// 4096 (arenas of 256 KiB to 8 MiB; ~10 MB per shard overfills even the
+// largest), under Block and Shed, while one worker stalls long enough to
+// trip the watchdog bypass. Every delivered
+// datagram reaches its worker byte-exact and exactly once, the packet
+// identity holds, and no arena space stays reserved once the shard is
+// reactivated.
+TEST_F(FaultInjectionTest, ArenaCarriesEveryDatagramIntactUnderStallAndShed) {
+  Rng rng(2020);
+  std::vector<net::Packet> datagrams;
+  std::uint64_t unroutable = 0;
+  for (std::uint16_t id = 0; id < 2000; ++id) {
+    std::size_t len;
+    if (id % 11 == 0)
+      len = 65535;
+    else if (id % 13 == 0)
+      len = 20 + id % 9;  // 20..28 B: the smallest, some unroutable
+    else  // log-uniform over 28 B .. 64 KiB
+      len = static_cast<std::size_t>(
+          std::exp(rng.uniform_real(std::log(28.0), std::log(65535.0))));
+    if (len < 28) ++unroutable;
+    datagrams.push_back(stress_datagram(id, len, rng));
+  }
+  ASSERT_GT(unroutable, 0u);
+  ASSERT_EQ(datagrams.front().data.size(), 65535u);
+
+  TapGuard tap_guard;
+
+  for (const std::size_t queue : {4, 64, 4096}) {
+    for (const auto overload : {ShardedPipelineOptions::Overload::Block,
+                                ShardedPipelineOptions::Overload::Shed}) {
+      const std::string where =
+          "queue=" + std::to_string(queue) +
+          (overload == ShardedPipelineOptions::Overload::Block ? " block"
+                                                               : " shed");
+      reset_tap();
+      // The 20th dequeued item wedges its worker far past the watchdog
+      // timeout; the dispatcher keeps flooding both shards meanwhile.
+      fault::Scoped stall(fault::Point::WorkerItem,
+                          {.action = fault::Plan::Action::Stall,
+                           .start = 20,
+                           .period = 0,
+                           .limit = 1,
+                           .stall_ms = 400});
+      ShardedPipelineOptions opt;
+      opt.n_shards = 2;
+      opt.queue_capacity = queue;
+      opt.overload = overload;
+      opt.payload_grace_us = 5'000;  // Shed: waits that add up to a trip
+      opt.stuck_timeout_us = 50'000;
+      ShardedPipeline sharded(bank_, opt);
+      sharded.set_sink([](telemetry::SessionRecord) {});
+      std::atomic<int> trips{0};
+      sharded.set_stuck_callback([&](int) { trips.fetch_add(1); });
+
+      for (const auto& d : datagrams) sharded.on_packet(d);
+      expect_identity(sharded.stats(), where.c_str());
+      EXPECT_GE(trips.load(), 1) << where;
+
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (sharded.bypassed_shards() > 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        if (sharded.reactivate_recovered_shards() == 0)
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      ASSERT_EQ(sharded.bypassed_shards(), 0) << where;
+      for (int shard = 0; shard < 2; ++shard)
+        EXPECT_EQ(sharded.arena_bytes_in_use(shard), 0u)
+            << where << " shard " << shard;
+
+      sharded.flush_all();
+      const PipelineStats s = sharded.stats();
+      expect_identity(s, where.c_str());
+      EXPECT_EQ(s.packets_total, datagrams.size()) << where;
+      EXPECT_EQ(s.packets_stranded, 0u) << where;
+      EXPECT_EQ(s.packets_non_ip, unroutable) << where;
+      EXPECT_GT(s.packets_dropped_payload, 0u) << where << ": nothing shed";
+      EXPECT_EQ(g_tap_corrupt.load(), 0u) << where;
+      EXPECT_EQ(g_tap_repeated.load(), 0u) << where;
+      EXPECT_EQ(g_tap_delivered.load(), s.packets_processed - s.packets_non_ip)
+          << where;
+    }
+  }
+}
+
+// Ethernet-MTU datagrams (DESIGN.md §5b arena sizing). Against a stalled
+// worker the ring, not the arena, is what fills: queue_capacity full-size
+// datagrams plus a popped and a staged batch fit the arena. And a worker
+// that keeps up gets its arena restarted past the 256 KiB soft extent, so
+// 9 MB of datagrams through an 8 MiB arena stay within its first MiB —
+// intact and exactly once.
+TEST_F(FaultInjectionTest, RingFillsBeforeArenaOnMtuTraffic) {
+  Rng rng(2121);
+  std::vector<net::Packet> datagrams;
+  for (std::uint16_t id = 0; id < 6000; ++id)
+    datagrams.push_back(stress_datagram(id, 1500, rng));
+  TapGuard tap_guard;
+  for (const std::size_t queue : {64, 4096}) {
+    const std::string where = "queue=" + std::to_string(queue);
+    reset_tap();
+    ShardedPipelineOptions opt;  // Block, 32-packet batches
+    opt.queue_capacity = queue;
+    opt.stuck_timeout_us = 0;  // wait out the stall: no watchdog
+    ShardedPipeline sharded(bank_, opt);
+    sharded.set_sink([](telemetry::SessionRecord) {});
+    const obs::PipelineObs& o = sharded.observability();
+    {
+      fault::Scoped stall(fault::Point::WorkerItem,
+                          {.action = fault::Plan::Action::Stall,
+                           .start = 0,
+                           .period = 0,
+                           .limit = 1,
+                           .stall_ms = 1000});
+      for (std::size_t i = 0; i < queue + 3 * opt.batch_size; ++i)
+        sharded.on_packet(datagrams[i]);
+      sharded.drain();
+    }
+    EXPECT_GT(o.dispatch_waits_ring.total(), 0u) << where;
+    EXPECT_EQ(o.dispatch_waits_arena.total(), 0u) << where;
+
+    if (queue == 4096) {
+      reset_tap();
+      for (std::size_t i = 0; i < datagrams.size(); ++i) {
+        sharded.on_packet(datagrams[i]);
+        if (i % 64 == 63) sharded.drain();
+      }
+      sharded.drain();
+      EXPECT_EQ(g_tap_delivered.load(), 6000u) << where;
+      EXPECT_LT(g_tap_hi.load() - g_tap_lo.load(), std::uintptr_t{1} << 20)
+          << where << ": a drained arena did not restart";
+    }
+    EXPECT_EQ(g_tap_corrupt.load(), 0u) << where;
+    EXPECT_EQ(g_tap_repeated.load(), 0u) << where;
+    EXPECT_EQ(o.dispatch_waits_arena.total(), 0u) << where;
+    EXPECT_EQ(sharded.arena_bytes_in_use(0), 0u) << where;
+    sharded.flush_all();
+    expect_identity(sharded.stats(), where.c_str());
+  }
 }
 
 // The flight recorder as the watchdog's one postmortem path (DESIGN.md

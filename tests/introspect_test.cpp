@@ -428,6 +428,78 @@ TEST_F(IntrospectTest, AcceptanceSpansCrossShardsAndSurviveModelSwap) {
   EXPECT_NE(json.find("\"model_gen\":2"), std::string::npos);
 }
 
+// A traced standalone run at the default ring size keeps every flow's
+// lifecycle: Parse spans are recorded only while a flow's handshake is
+// open, so post-classification payload packets (here ~300 per flow, ~9k in
+// all, twice the ring) cannot overwrite the admitted/classified instants.
+TEST_F(IntrospectTest, PayloadPacketsDoNotFloodTheSpanRing) {
+  Rng rng(303);
+  synth::FlowSynthesizer synth(rng);
+  std::vector<net::Packet> packets;
+  for (int i = 0; i < 30; ++i) {
+    const auto transport = i % 3 == 1 ? Transport::Quic : Transport::Tcp;
+    const auto platforms = fingerprint::platforms_for(Provider::YouTube, transport);
+    synth::FlowOptions opt;
+    opt.start_time_us = static_cast<std::uint64_t>(i) * 1000;
+    opt.payload_bytes = 20'000'000;
+    opt.payload_duration_us = 30'000'000;
+    const auto flow = synth.synthesize(
+        fingerprint::make_profile(
+            platforms[static_cast<std::size_t>(i) % platforms.size()],
+            Provider::YouTube, transport),
+        opt);
+    packets.insert(packets.end(), flow.packets.begin(), flow.packets.end());
+  }
+  // Ten more flows seen mid-stream: their SYN and every packet carrying L4
+  // payload (ClientHello, Initials) precede the capture, so the extractor
+  // never starts and the flows never classify.
+  for (int i = 0; i < 10; ++i) {
+    const auto transport = i % 2 == 1 ? Transport::Quic : Transport::Tcp;
+    synth::FlowOptions opt;
+    opt.start_time_us = static_cast<std::uint64_t>(i) * 1500;
+    opt.payload_bytes = 20'000'000;
+    opt.payload_duration_us = 30'000'000;
+    const auto flow = synth.synthesize(
+        fingerprint::make_profile(
+            fingerprint::platforms_for(Provider::YouTube, transport).front(),
+            Provider::YouTube, transport),
+        opt);
+    for (const auto& packet : flow.packets) {
+      const auto decoded = net::decode(packet);
+      ASSERT_TRUE(decoded.has_value());
+      if (decoded->payload.empty() && !(decoded->tcp && decoded->tcp->flags.syn))
+        packets.push_back(packet);
+    }
+  }
+  std::stable_sort(packets.begin(), packets.end(),
+                   [](const net::Packet& a, const net::Packet& b) {
+                     return a.timestamp_us < b.timestamp_us;
+                   });
+  ASSERT_GT(packets.size(), 2 * ObsConfig{}.span_ring_capacity);
+
+  ObsConfig config;
+  config.span_sample_n = 1;  // trace every flow; default ring capacity
+  pipeline::VideoFlowPipeline pipe(bank_a_.get(), {}, config);
+  pipe.set_sink([](telemetry::SessionRecord) {});
+  for (const auto& packet : packets) pipe.on_packet(packet);
+  pipe.flush_all();
+  ASSERT_EQ(pipe.stats().video_flows, 30u);
+
+  std::set<std::uint64_t> admitted, classified;
+  std::size_t parse = 0, extract = 0;
+  for (const Span& s : pipe.observability().recent_spans(0)) {
+    if (s.kind == SpanKind::Admitted) admitted.insert(s.flow_hash);
+    if (s.kind == SpanKind::Classified) classified.insert(s.flow_hash);
+    if (s.kind == SpanKind::Parse) ++parse;
+    if (s.kind == SpanKind::Extract) ++extract;
+  }
+  EXPECT_EQ(admitted.size(), 40u);
+  EXPECT_EQ(classified.size(), 30u);
+  EXPECT_GT(parse, 0u);
+  EXPECT_LT(parse, 30u * 16) << "Parse spans past the handshake";
+  EXPECT_LT(extract, 30u * 16) << "Extract spans past the handshake";
+}
+
 // Spans off (the default): zero rings, zero ids, sampling always false —
 // the hot path stays untouched.
 TEST_F(IntrospectTest, SpansOffAllocatesNothing) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "capture/export.hpp"
 #include "capture/replay.hpp"
@@ -9,6 +12,10 @@
 #include "net/tcp.hpp"
 #include "net/udp.hpp"
 #include "util/rng.hpp"
+
+#ifndef VPSCOPE_GOLDEN_DIR
+#define VPSCOPE_GOLDEN_DIR "tests/data/golden"
+#endif
 
 namespace vpscope::net {
 namespace {
@@ -266,6 +273,156 @@ TEST(Decode, RejectsGarbage) {
   Packet pkt;
   pkt.data = from_hex("ffffffff");
   EXPECT_FALSE(decode(pkt).has_value());
+}
+
+TEST(Decode, RejectsDatagramsPastTheIpMaximum) {
+  // IPv4 total length is 16 bits; IPv6 without a jumbo payload stops at
+  // 40 + 65,535 B. Longer buffers are no IP datagram, for decode and
+  // routing alike.
+  UdpHeader udp;
+  udp.src_port = 50003;
+  udp.dst_port = 443;
+  Ipv4Header v4;
+  v4.protocol = kProtoUdp;
+  Bytes wire = v4.serialize(udp.serialize({}));
+  wire.resize(65535);
+  EXPECT_TRUE(decode(wire, 0).has_value());
+  EXPECT_TRUE(flow_key_of(wire).has_value());
+  wire.push_back(0);
+  EXPECT_FALSE(decode(wire, 0).has_value());
+  EXPECT_FALSE(flow_key_of(wire).has_value());
+
+  Ipv6Header v6;
+  v6.next_header = kProtoUdp;
+  wire = v6.serialize(udp.serialize({}));
+  wire.resize(kMaxDatagramBytes);
+  EXPECT_TRUE(decode(wire, 0).has_value());
+  EXPECT_TRUE(flow_key_of(wire).has_value());
+  wire.push_back(0);
+  EXPECT_FALSE(decode(wire, 0).has_value());
+  EXPECT_FALSE(flow_key_of(wire).has_value());
+}
+
+// ---- routing/decode agreement (the sharded dispatcher routes with
+// flow_key_of, its workers decode) ----
+
+/// The golden corpus as bare IP datagrams.
+std::vector<Bytes> golden_datagrams() {
+  std::vector<Bytes> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VPSCOPE_GOLDEN_DIR)) {
+    if (entry.path().extension() != ".pcap") continue;
+    const auto stats = capture::ReplayDriver().replay_file(
+        entry.path().string(),
+        [&out](Packet&& p) { out.push_back(std::move(p.data)); });
+    EXPECT_TRUE(stats.ok) << entry.path() << ": " << stats.error;
+  }
+  return out;
+}
+
+std::size_t ip_header_len(const Bytes& d) {
+  return d[0] >> 4 == 4 ? (d[0] & 0x0f) * std::size_t{4} : Ipv6Header::kSize;
+}
+
+/// Seeded structural mutants of one datagram, the cases where routing and
+/// decoding read different amounts of the header.
+std::vector<Bytes> routing_mutants(const Bytes& d, Rng& rng) {
+  std::vector<Bytes> out;
+  const std::size_t ihl = ip_header_len(d);
+  const std::uint8_t proto = d[0] >> 4 == 4 ? d[9] : d[6];
+  // Truncations, inside and just past the transport header.
+  for (std::size_t cut = ihl; cut < std::min(d.size(), ihl + 64); cut += 3)
+    out.emplace_back(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(cut));
+  out.emplace_back(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(
+                                              rng.uniform(0, d.size() - 1)));
+  if (d[0] >> 4 == 4) {
+    // IPv4 with options (IHL 6..15), option bytes spliced in.
+    for (std::size_t words = 1; words <= 10; words += 3) {
+      Bytes m = d;
+      m[0] = static_cast<std::uint8_t>(0x40 | (ihl / 4 + words));
+      Bytes opts(words * 4, 0x01);  // NOPs
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(ihl), opts.begin(),
+               opts.end());
+      out.push_back(std::move(m));
+    }
+    // An IHL past the datagram, and one under the minimum.
+    Bytes m = d;
+    m[0] = 0x4f;
+    out.push_back(m);
+    m[0] = 0x44;
+    out.push_back(std::move(m));
+    // The same transport segment over IPv6.
+    Ipv6Header v6;
+    v6.next_header = proto;
+    v6.src.bytes[15] = d[15];
+    v6.dst.bytes[15] = d[19];
+    out.push_back(v6.serialize(ByteView{d}.subspan(ihl)));
+  }
+  if (proto == kProtoTcp && d.size() >= ihl + TcpHeader::kMinSize) {
+    // Bad data offsets: under 5 words, and past the datagram.
+    for (std::uint8_t off : {0, 3, 15}) {
+      Bytes m = d;
+      m[ihl + 12] = static_cast<std::uint8_t>(off << 4 | (m[ihl + 12] & 0x0f));
+      out.push_back(std::move(m));
+    }
+    // A malformed option: length 0, 1 and past the header.
+    for (std::uint8_t len : {0, 1, 9}) {
+      Bytes m = d;
+      m[ihl + 12] = static_cast<std::uint8_t>(6 << 4);
+      const Bytes opt = {2, len, 0x05, 0xb4};
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(ihl + 20), opt.begin(),
+               opt.end());
+      out.push_back(std::move(m));
+    }
+  }
+  if (proto == kProtoUdp && d.size() >= ihl + UdpHeader::kSize) {
+    // UDP lengths past the datagram and under the header.
+    for (std::uint16_t len :
+         {static_cast<std::uint16_t>(d.size() - ihl + 1),
+          static_cast<std::uint16_t>(0xffff), static_cast<std::uint16_t>(7)}) {
+      Bytes m = d;
+      m[ihl + 4] = static_cast<std::uint8_t>(len >> 8);
+      m[ihl + 5] = static_cast<std::uint8_t>(len);
+      out.push_back(std::move(m));
+    }
+  }
+  // Random byte flips anywhere in the first 64 bytes.
+  for (int i = 0; i < 8; ++i) {
+    Bytes m = d;
+    const std::size_t at = rng.uniform(0, std::min<std::size_t>(63, m.size() - 1));
+    m[at] = static_cast<std::uint8_t>(rng.next_u32());
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+TEST(RoutingAgreement, FlowKeyOfMatchesDecodeOnGoldenCorpusAndMutants) {
+  const std::vector<Bytes> corpus = golden_datagrams();
+  ASSERT_GT(corpus.size(), 100u);
+  Rng rng(1515);
+  std::size_t decoded = 0, routed_only = 0, unrouted = 0;
+  auto check = [&](const Bytes& d) {
+    const auto dec = decode(d, 0);
+    const auto key = flow_key_of(d);
+    if (dec) {
+      ++decoded;
+      ASSERT_TRUE(key.has_value()) << "decode accepts what routing refuses";
+      EXPECT_EQ(*key, dec->flow_key());
+      EXPECT_EQ(FlowKeyHash{}(*key), FlowKeyHash{}(dec->flow_key()));
+    } else if (key) {
+      ++routed_only;  // rejected by the worker's decode, not by routing
+    } else {
+      ++unrouted;
+    }
+  };
+  for (const Bytes& d : corpus) {
+    check(d);
+    for (const Bytes& m : routing_mutants(d, rng)) check(m);
+  }
+  // Every case the gate is meant to cover was reached.
+  EXPECT_GT(decoded, corpus.size());
+  EXPECT_GT(routed_only, 0u);
+  EXPECT_GT(unrouted, 0u);
 }
 
 TEST(Pcap, WriteReadRoundTrip) {
