@@ -7,7 +7,11 @@
 namespace vpscope::ml {
 
 void RandomForest::fit(const Dataset& data, const ForestParams& params) {
-  if (data.size() == 0) throw std::invalid_argument("empty dataset");
+  if (params.n_trees <= 0)
+    throw std::invalid_argument("a forest needs at least one tree");
+  // Every column sorted once, shared read-only by all trees and freed on
+  // return: a fitted forest keeps nothing of its training set.
+  const FeatureCodes codes(data);
   trees_.clear();
   num_classes_ = data.num_classes();
 
@@ -30,7 +34,7 @@ void RandomForest::fit(const Dataset& data, const ForestParams& params) {
       for (auto& r : rows)
         r = static_cast<int>(rng.uniform(0, data.size() - 1));
     }
-    tree.fit(data, rows, tree_params, num_classes_, rng.fork());
+    tree.fit(codes, data.y, rows, tree_params, num_classes_, rng.fork());
   }
 }
 

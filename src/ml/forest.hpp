@@ -33,6 +33,8 @@ struct ForestParams {
 
 class RandomForest {
  public:
+  /// Throws std::invalid_argument, before any training, on n_trees <= 0 or
+  /// an invalid training set (see FeatureCodes).
   void fit(const Dataset& data, const ForestParams& params);
 
   int predict(const std::vector<double>& x) const;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -20,13 +21,48 @@ struct TreeParams {
   int max_features = 0;
 };
 
+/// A training set's feature columns, each sorted once: its ascending
+/// distinct values, and per row the index ("code") of the row's value among
+/// them. Split search counts a node's codes per class instead of sorting its
+/// values; a forest builds one FeatureCodes per fit and shares it read-only
+/// across its trees.
+class FeatureCodes {
+ public:
+  /// Validates `data` and encodes every column. Throws std::invalid_argument
+  /// on an empty set, ragged rows, a label count that differs from the row
+  /// count, a negative label or a NaN feature.
+  explicit FeatureCodes(const Dataset& data);
+
+  std::size_t rows() const { return rows_; }
+  int features() const { return static_cast<int>(values_.size()); }
+  /// Code of every row for `feature`, indexed by row.
+  std::span<const std::uint32_t> column(int feature) const {
+    return {codes_.data() + static_cast<std::size_t>(feature) * rows_, rows_};
+  }
+  /// Ascending distinct values of `feature`, indexed by code.
+  const std::vector<double>& values(int feature) const {
+    return values_[static_cast<std::size_t>(feature)];
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::vector<std::uint32_t> codes_;         // column-major [feature][row]
+  std::vector<std::vector<double>> values_;  // [feature][code]
+};
+
 class DecisionTree {
  public:
   /// Trains on `data` restricted to `rows` (empty rows = all). Class count
   /// is taken from `num_classes` so probability vectors are consistent
-  /// across trees trained on bootstrap samples.
+  /// across trees trained on bootstrap samples. Throws
+  /// std::invalid_argument on an invalid set (see FeatureCodes), a row
+  /// index outside it or a label >= num_classes.
   void fit(const Dataset& data, const std::vector<int>& rows,
            const TreeParams& params, int num_classes, Rng rng);
+  /// The same fit on codes built once for `labels`' training set.
+  void fit(const FeatureCodes& codes, const std::vector<int>& labels,
+           const std::vector<int>& rows, const TreeParams& params,
+           int num_classes, Rng rng);
 
   int predict(const std::vector<double>& x) const;
   /// Leaf class distribution (training-sample fractions). Returns a
@@ -59,8 +95,6 @@ class DecisionTree {
   const std::vector<Node>& nodes() const { return nodes_; }
 
  private:
-  int build(const Dataset& data, std::vector<int>& rows, int depth,
-            const TreeParams& params, int num_classes, Rng& rng);
   const Node& descend(const std::vector<double>& x) const;
 
   std::vector<Node> nodes_;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+
 #include "core/attributes.hpp"
 #include "core/encoder.hpp"
 #include "core/handshake.hpp"
 #include "core/interner.hpp"
+#include "synth/dataset.hpp"
 #include "synth/flow_synthesizer.hpp"
 
 namespace vpscope::core {
@@ -246,6 +250,27 @@ TEST(FeatureEncoder, UnseenTokensGetDedicatedBucket) {
       saw_unseen = true;
   }
   EXPECT_TRUE(saw_unseen);
+}
+
+TEST(FeatureEncoder, TransformIsFiniteOnLabCorpus) {
+  // Forest training rejects NaN features, so no encoded lab flow may carry
+  // one. Encoders are fitted per (provider, transport) as the bank fits them.
+  const auto lab = synth::generate_lab_dataset(42, 1.0);
+  std::map<std::pair<Provider, Transport>, std::vector<FlowHandshake>> groups;
+  for (const auto& flow : lab.flows)
+    if (const auto h = extract_handshake(flow.packets))
+      groups[{flow.provider, flow.transport}].push_back(*h);
+  ASSERT_EQ(groups.size(), 5u);
+  std::size_t rows = 0;
+  for (const auto& [key, handshakes] : groups) {
+    FeatureEncoder enc(key.second);
+    enc.fit(handshakes);
+    for (const auto& h : handshakes) {
+      for (double v : enc.transform(h)) ASSERT_TRUE(std::isfinite(v));
+      ++rows;
+    }
+  }
+  EXPECT_GT(rows, 10'000u);
 }
 
 TEST(FeatureEncoder, ColumnsForAttributesSelectsExactly) {

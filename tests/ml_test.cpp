@@ -18,6 +18,11 @@
 #include "ml/mlp.hpp"
 #include "ml/mutual_info.hpp"
 #include "ml/tree.hpp"
+#include "core/handshake.hpp"
+#include "pipeline/bank_serialize.hpp"
+#include "pipeline/classifier_bank.hpp"
+#include "support/forest_oracle.hpp"
+#include "synth/dataset.hpp"
 #include "util/rng.hpp"
 
 // Global allocation counter backing the CompiledForest zero-allocation
@@ -231,6 +236,246 @@ TEST(RandomForest, MoreRobustThanSingleTreeUnderNoise) {
 TEST(RandomForest, ThrowsOnEmpty) {
   RandomForest forest;
   EXPECT_THROW(forest.fit(Dataset{}, {}), std::invalid_argument);
+}
+
+// ---- Forest training: exact-bin trainer vs the sort-based oracle ----
+
+/// Every kind of column the split search meets: binary, few-valued,
+/// constant, signed zeros, continuous (more distinct values than a byte
+/// codes once rows > 256), an exact copy and a mirrored copy of the
+/// informative column (impurity ties across features), duplicated rows,
+/// and a class that occurs once, so some bootstrap samples miss it.
+Dataset make_training_mix(int rows, int classes, std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset data;
+  for (int i = 0; i < rows; ++i) {
+    const int label = i == 0 ? classes - 1 : rng.uniform_int(0, classes - 2);
+    const double informative = label + rng.uniform_int(0, 2) * 0.5;
+    const double zeros[] = {-0.0, 0.0, 1.0, -1.0};
+    data.x.push_back({
+        rng.bernoulli(0.5) ? 1.0 : 0.0,
+        static_cast<double>(rng.uniform_int(0, 5)),
+        3.0,
+        zeros[rng.uniform_int(0, 3)],
+        rng.normal(label, 2.0),
+        informative,
+        informative,
+        -informative,
+        rng.uniform_real(-1e6, 1e6),
+    });
+    data.y.push_back(label);
+    if (rng.bernoulli(0.1)) {  // duplicate row, sometimes relabelled
+      data.x.push_back(data.x.back());
+      data.y.push_back(rng.bernoulli(0.5) ? label
+                                          : rng.uniform_int(0, classes - 2));
+    }
+  }
+  return data;
+}
+
+void expect_matches_oracle(const Dataset& data, const ForestParams& params) {
+  RandomForest forest;
+  forest.fit(data, params);
+  const Bytes got = serialize_forest(forest);
+  const Bytes want = oracle::fit_forest_bytes(data, params);
+  EXPECT_TRUE(got == want)
+      << "bytes " << got.size() << " vs oracle " << want.size()
+      << "; max_features " << params.max_features << ", max_depth "
+      << params.max_depth << ", min_samples_split "
+      << params.min_samples_split << ", bootstrap " << params.bootstrap
+      << ", seed " << params.seed;
+}
+
+TEST(ForestTraining, MatchesSortBasedOracleOverParameterGrid) {
+  const Dataset data = make_training_mix(300, 6, 21);
+  const int dim = static_cast<int>(data.dim());
+  const int sqrt_dim = static_cast<int>(std::lround(std::sqrt(dim)));
+  for (const bool bootstrap : {true, false})
+    for (const int max_features : {0, 1, sqrt_dim, dim})
+      for (const int max_depth : {0, 1, 20})
+        for (const int min_samples_split : {2, 50})
+          expect_matches_oracle(
+              data, {.n_trees = 3,
+                     .max_depth = max_depth,
+                     .min_samples_split = min_samples_split,
+                     .max_features = max_features,
+                     .bootstrap = bootstrap,
+                     .seed = static_cast<std::uint64_t>(max_features + 7)});
+}
+
+TEST(ForestTraining, MatchesSortBasedOracleFromTwoToTwentyClasses) {
+  for (const int classes : {2, 3, 7, 13, 20})
+    for (const std::uint64_t seed : {1u, 2u})
+      expect_matches_oracle(make_training_mix(400, classes, seed * 31),
+                            {.n_trees = 8,
+                             .max_depth = 20,
+                             .min_samples_split = 2,
+                             .max_features = 3,
+                             .bootstrap = true,
+                             .seed = seed});
+}
+
+TEST(ForestTraining, WideCodesOnDeepTreesMatchOracle) {
+  // 1,500 rows: the continuous columns need codes wider than a byte, and a
+  // fully grown tree reaches nodes far smaller than their bin count.
+  const Dataset data = make_training_mix(1500, 9, 5);
+  expect_matches_oracle(data, {.n_trees = 4,
+                               .max_depth = 20,
+                               .min_samples_split = 2,
+                               .max_features = 0,
+                               .bootstrap = true,
+                               .seed = 3});
+}
+
+TEST(ForestTraining, DirectTreeFitMatchesOracle) {
+  const Dataset data = make_training_mix(250, 5, 8);
+  Rng pick(4);
+  std::vector<int> rows(400);  // with repeats, like a bootstrap sample
+  for (auto& r : rows)
+    r = static_cast<int>(pick.uniform(0, data.size() - 1));
+  for (const int max_features : {0, 2}) {
+    const TreeParams params{.max_depth = 20, .min_samples_split = 2,
+                            .max_features = max_features};
+    for (const auto& sample : {rows, std::vector<int>{}}) {
+      DecisionTree tree;
+      tree.fit(data, sample, params, data.num_classes(), Rng(9));
+      Writer got, want;
+      tree.serialize(got);
+      oracle::write_tree(want, data, sample, params, data.num_classes(),
+                         Rng(9));
+      EXPECT_TRUE(got.data() == want.data()) << "max_features "
+                                             << max_features;
+    }
+  }
+}
+
+TEST(ForestTraining, TieAcrossFeaturesGoesToFirstCandidate) {
+  // Columns 0 and 1 are equal, so every split scores the same on both; the
+  // strict `<` keeps the first candidate scanned (feature 0 without
+  // feature sampling).
+  Dataset data;
+  for (int i = 0; i < 40; ++i) {
+    data.x.push_back({i % 4 * 1.0, i % 4 * 1.0});
+    data.y.push_back(i % 4 < 2 ? 0 : 1);
+  }
+  DecisionTree tree;
+  tree.fit(data, {}, {.max_depth = 1, .min_samples_split = 2}, 2, Rng(1));
+  ASSERT_EQ(tree.node_count(), 3);
+  EXPECT_EQ(tree.nodes()[0].feature, 0);
+  EXPECT_EQ(tree.nodes()[0].threshold, 1.5);
+}
+
+/// The lab bank's scenarios retrained by the oracle: the same staging,
+/// encoders and class indices as ClassifierBank::train, with each forest
+/// replaced by the sort-based one.
+pipeline::ClassifierBank oracle_bank(const synth::Dataset& lab,
+                                     const pipeline::ClassifierBank& trained,
+                                     const pipeline::BankParams& params) {
+  pipeline::ClassifierBank bank;
+  bank.set_confidence_threshold(trained.confidence_threshold());
+  for (const auto& [provider, transport] : trained.scenario_keys()) {
+    const auto& fitted = *trained.scenario(provider, transport);
+    auto index_of = [](const auto& classes, const auto& value) {
+      return static_cast<int>(
+          std::find(classes.begin(), classes.end(), value) - classes.begin());
+    };
+    Dataset platform, device, agent;
+    for (const auto& flow : lab.flows) {
+      if (flow.provider != provider || flow.transport != transport) continue;
+      const auto handshake = core::extract_handshake(flow.packets);
+      if (!handshake) continue;
+      const auto x = fitted.encoder.transform(*handshake);
+      platform.x.push_back(x);
+      device.x.push_back(x);
+      agent.x.push_back(x);
+      platform.y.push_back(index_of(fitted.platform_classes, flow.platform));
+      device.y.push_back(index_of(fitted.device_classes, flow.platform.os));
+      agent.y.push_back(index_of(fitted.agent_classes, flow.platform.agent));
+    }
+    pipeline::ClassifierBank::Scenario scenario;
+    scenario.encoder = fitted.encoder;
+    scenario.platform_classes = fitted.platform_classes;
+    scenario.device_classes = fitted.device_classes;
+    scenario.agent_classes = fitted.agent_classes;
+    ForestParams fp = params.forest;
+    scenario.platform_model = oracle::fit_forest(platform, fp);
+    fp.seed += 101;
+    scenario.device_model = oracle::fit_forest(device, fp);
+    fp.seed += 101;
+    scenario.agent_model = oracle::fit_forest(agent, fp);
+    bank.install_scenario(provider, transport, std::move(scenario));
+  }
+  return bank;
+}
+
+TEST(ForestTraining, LabBankBytesMatchSortBasedTrainer) {
+  const auto lab = synth::generate_lab_dataset(42, 1.0);
+  const pipeline::BankParams params;
+  pipeline::ClassifierBank bank;
+  bank.train(lab, params);
+  ASSERT_EQ(bank.scenario_keys().size(), 5u);
+  const Bytes got = pipeline::serialize_bank(bank);
+  const Bytes want = pipeline::serialize_bank(oracle_bank(lab, bank, params));
+  EXPECT_TRUE(got == want) << "bank bytes " << got.size() << " vs oracle "
+                           << want.size();
+}
+
+// ---- Training input validation ----
+
+Dataset tiny_training_set() {
+  Dataset data;
+  data.x = {{0.0, 1.0}, {1.0, 0.0}, {2.0, 1.0}, {3.0, 0.0}};
+  data.y = {0, 1, 0, 1};
+  return data;
+}
+
+TEST(TrainingInput, RaggedRowsRejected) {
+  Dataset data = tiny_training_set();
+  data.x[2].pop_back();
+  RandomForest forest;
+  EXPECT_THROW(forest.fit(data, {}), std::invalid_argument);
+  DecisionTree tree;
+  EXPECT_THROW(tree.fit(data, {}, {}, 2, Rng(1)), std::invalid_argument);
+}
+
+TEST(TrainingInput, NegativeLabelRejected) {
+  Dataset data = tiny_training_set();
+  data.y[1] = -1;
+  RandomForest forest;
+  EXPECT_THROW(forest.fit(data, {}), std::invalid_argument);
+  DecisionTree tree;
+  EXPECT_THROW(tree.fit(data, {}, {}, 2, Rng(1)), std::invalid_argument);
+  // A label the caller's class count does not cover is out of range too.
+  EXPECT_THROW(tree.fit(tiny_training_set(), {}, {}, 1, Rng(1)),
+               std::invalid_argument);
+}
+
+TEST(TrainingInput, RowIndexOutsideDatasetRejected) {
+  const Dataset data = tiny_training_set();
+  DecisionTree tree;
+  EXPECT_THROW(tree.fit(data, {0, 4}, {}, 2, Rng(1)), std::invalid_argument);
+  EXPECT_THROW(tree.fit(data, {-1, 2}, {}, 2, Rng(1)), std::invalid_argument);
+  EXPECT_NO_THROW(tree.fit(data, {0, 3}, {}, 2, Rng(1)));
+}
+
+TEST(TrainingInput, NaNFeatureRejected) {
+  Dataset data = tiny_training_set();
+  data.x[3][1] = std::numeric_limits<double>::quiet_NaN();
+  RandomForest forest;
+  EXPECT_THROW(forest.fit(data, {}), std::invalid_argument);
+  DecisionTree tree;
+  EXPECT_THROW(tree.fit(data, {}, {}, 2, Rng(1)), std::invalid_argument);
+}
+
+TEST(TrainingInput, TreeCountBelowOneRejected) {
+  RandomForest forest;
+  EXPECT_THROW(forest.fit(tiny_training_set(), {.n_trees = -1}),
+               std::invalid_argument);
+  EXPECT_THROW(forest.fit(tiny_training_set(), {.n_trees = 0}),
+               std::invalid_argument);
+  EXPECT_FALSE(forest.trained());
+  forest.fit(tiny_training_set(), {.n_trees = 1});
+  EXPECT_TRUE(forest.trained());
 }
 
 // ---- Compiled forest ----
